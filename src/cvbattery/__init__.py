@@ -57,7 +57,7 @@ from .linear import (
     renormalized_frequency,
     steady_energy_linear,
 )
-from .metrics import BatteryMetrics, compute_metrics, ergotropy_trajectory
+from .metrics import BatteryMetrics, compute_metrics, energy_metrics, ergotropy_trajectory
 from .perturbation import (
     PerturbationConstants,
     approx_optima_nonlinear,

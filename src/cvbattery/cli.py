@@ -5,8 +5,9 @@ Subcommands:
   figure <name> --out DIR  CSV bundle reproducing a figure's data
   constants                dimensionless prefactor table with residuals
 
-All computations are deterministic (no RNG anywhere); ``--seedless`` merely
-asserts that.  Exit codes: 0 success, 2 config error, 3 non-convergence.
+All computations are deterministic: the only random draws (the norm
+estimator inside the Fock propagator) use a fixed seed and leave numpy's
+global RNG state untouched; ``--seedless`` merely asserts that.  Exit codes: 0 success, 2 config error, 3 non-convergence.
 """
 
 import argparse
@@ -138,33 +139,42 @@ def parse_scenario(path) -> Scenario:
 
 
 def _route_series(sc: Scenario, route: str):
-    """One column group (energy, power, ergotropy, var_x, var_p, det) on the
-    scenario grid, or None when the route does not apply."""
+    """Evaluate one route once on the scenario grid.
+
+    Returns (t, cols, summary, note): the column group (energy, power,
+    ergotropy, var_x, var_p, det), the (t_E, E_tE, t_P, P_tP) optima, and a
+    note that is not None when the route does not apply (cols then holds
+    None columns and summary is None).
+    """
     t = np.linspace(0.0, sc.t_end, sc.n_samples)
     p = sc.params()
     empty = dict.fromkeys(("energy", "power", "ergotropy", "var_x", "var_p", "det"))
 
     if route == "analytic":
         if sc.coupling != "linear":
-            return t, empty, "analytic route applies to linear coupling only"
+            return t, empty, None, "analytic route applies to linear coupling only"
         e = linear.energy_linear(t, p)
-        return t, _series_min_uncertainty(t, e), None
+        summary = (linear.optimal_time_energy(p), linear.optimal_energy(p),
+                   linear.optimal_time_power(p), linear.max_power(p))
+        return t, _series_min_uncertainty(t, e), summary, None
     if route == "perturbation":
         if sc.coupling != "nonlinear":
-            return t, empty, "perturbation route applies to nonlinear coupling only"
+            return t, empty, None, "perturbation route applies to nonlinear coupling only"
         try:
             if p.gamma == 0.0:
                 e = perturbation.perturbative_energy(t, p, order=2)
             else:
                 e = perturbation.weak_driving_energy(t, p)
         except UnsupportedRegimeError as exc:
-            return t, empty, str(exc)
-        return t, _series_min_uncertainty(t, np.clip(e, 0.0, None)), None
+            return t, empty, None, str(exc)
+        e = np.clip(e, 0.0, None)
+        return t, _series_min_uncertainty(t, e), _optima(metrics.energy_metrics(t, e)), None
     if route == "cumulant":
         if sc.coupling != "nonlinear":
-            return t, empty, "cumulant route applies to nonlinear coupling only"
+            return t, empty, None, "cumulant route applies to nonlinear coupling only"
         traj = cumulant.integrate_cumulant(p, sc.t_end, sc.n_samples)
-        return t, _series_from_traj(traj, "gaussian"), None
+        cols, summary = _series_from_traj(traj, "gaussian")
+        return t, cols, summary, None
     if route == "fock":
         cfg = focksim.FockConfig(
             cutoff_a=sc.cutoff_a,
@@ -173,8 +183,13 @@ def _route_series(sc: Scenario, route: str):
             abs_tol=sc.fock_abs_tol,
         )
         traj = focksim.evolve(sc.coupling, p, cfg, sc.t_end, sc.n_samples)
-        return t, _series_from_traj(traj, "exact"), None
+        cols, summary = _series_from_traj(traj, "exact")
+        return t, cols, summary, None
     raise ConfigError(f"unknown route {route!r}")
+
+
+def _optima(m):
+    return (m.t_E, m.E_tE, m.t_P, m.P_tP)
 
 
 def _series_min_uncertainty(t, energy):
@@ -191,6 +206,7 @@ def _series_min_uncertainty(t, energy):
 
 
 def _series_from_traj(traj, ergo_route):
+    """Column group and optima of a sampled trajectory."""
     m = metrics.compute_metrics(traj)
     ergo = metrics.ergotropy_trajectory(traj, ergo_route)
     var_x, var_p, det = [], [], []
@@ -200,7 +216,7 @@ def _series_from_traj(traj, ergo_route):
         var_p.append(qs.var_p)
         det.append(qs.det)
     power = np.concatenate([[np.nan], m.power])
-    return {
+    cols = {
         "energy": m.energy,
         "power": power,
         "ergotropy": ergo,
@@ -208,32 +224,7 @@ def _series_from_traj(traj, ergo_route):
         "var_p": np.array(var_p),
         "det": np.array(det),
     }
-
-
-def _summary_for(sc: Scenario, route: str):
-    p = sc.params()
-    if route == "analytic" and sc.coupling == "linear":
-        t_e = linear.optimal_time_energy(p)
-        if math.isinf(t_e):
-            return (t_e, linear.optimal_energy(p), linear.optimal_time_power(p),
-                    linear.max_power(p))
-        return (t_e, linear.optimal_energy(p), linear.optimal_time_power(p),
-                linear.max_power(p))
-    t, cols, note = _route_series(sc, route)
-    if note is not None:
-        return None
-    energy = cols["energy"]
-
-    class _T:
-        times = t
-        omega_b = sc.omega_b
-
-        @staticmethod
-        def battery_population():
-            return energy / sc.omega_b
-
-    m = metrics.compute_metrics(_T)
-    return (m.t_E, m.E_tE, m.t_P, m.P_tP)
+    return cols, _optima(m)
 
 
 def write_run_csv(sc: Scenario, out):
@@ -250,11 +241,10 @@ def write_run_csv(sc: Scenario, out):
         _write_sweep_csv(sc, out)
         return
 
-    groups, notes = {}, {}
+    groups, summaries, notes = {}, {}, {}
     t = None
     for r in routes:
-        t, cols, note = _route_series(sc, r)
-        groups[r] = cols
+        t, groups[r], summaries[r], note = _route_series(sc, r)
         if note:
             notes[r] = note
     for r, note in notes.items():
@@ -278,7 +268,7 @@ def write_run_csv(sc: Scenario, out):
     out.write("\n")
     out.write("route,t_E,E_tE,t_P,P_tP\n")
     for r in routes:
-        s = _summary_for(sc, r)
+        s = summaries[r]
         if s is None:
             out.write(f"{r},,,,\n")
         else:
@@ -294,15 +284,13 @@ def _write_sweep_csv(sc: Scenario, out):
     out.write(f"# sweep {sw['param']} {sw['scale']} over [{_fmt(sw['min'])}, "
               f"{_fmt(sw['max'])}] with {sw['points']} points\n")
     out.write(f"{sw['param']},t_E,E_tE,t_P,P_tP,energy_ss,ergotropy_ss\n")
+    route = sc.route if sc.route != "all" else (
+        "analytic" if sc.coupling == "linear" else "cumulant")
     for v in values:
         point = Scenario(**{**sc.__dict__, "sweep": None})
         setattr(point, sw["param"], float(v))
-        s = _summary_for(point, sc.route if sc.route != "all" else
-                         ("analytic" if sc.coupling == "linear" else "cumulant"))
-        route = sc.route if sc.route != "all" else (
-            "analytic" if sc.coupling == "linear" else "cumulant")
-        t, cols, note = _route_series(point, route)
-        if s is None or note is not None:
+        _, cols, s, note = _route_series(point, route)
+        if note is not None:
             out.write(f"{_fmt(float(v))},,,,,,\n")
             continue
         e_ss = cols["energy"][-1]
@@ -484,7 +472,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--t-end", type=float, default=None)
     p_run.add_argument("--route", choices=ROUTES, default=None)
     p_run.add_argument("--seedless", action="store_true",
-                       help="assert determinism (no RNG is used anywhere)")
+                       help="assert determinism (no run depends on RNG state)")
 
     p_fig = sub.add_parser("figure", help="emit figure-data CSV bundle")
     p_fig.add_argument("name", choices=sorted(FIGURES))

@@ -9,6 +9,7 @@ flat index n_a * cutoff_b + n_b.
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,11 +47,31 @@ def destroy(n: int) -> sp.csr_matrix:
     return sp.diags(np.sqrt(np.arange(1, n)), 1, format="csr").astype(complex)
 
 
-def mode_operators(c: FockConfig):
-    """Two-mode annihilation operators (a, b) on the product space."""
-    a = sp.kron(destroy(c.cutoff_a), sp.identity(c.cutoff_b), format="csr")
-    b = sp.kron(sp.identity(c.cutoff_a), destroy(c.cutoff_b), format="csr")
+@lru_cache(maxsize=8)
+def _mode_operators(cutoff_a: int, cutoff_b: int):
+    a = sp.kron(destroy(cutoff_a), sp.identity(cutoff_b), format="csr")
+    b = sp.kron(sp.identity(cutoff_a), destroy(cutoff_b), format="csr")
     return a, b
+
+
+def mode_operators(c: FockConfig):
+    """Two-mode annihilation operators (a, b) on the product space.
+
+    Cached per cutoff pair; the returned matrices are shared, so callers
+    must not modify them in place.
+    """
+    return _mode_operators(c.cutoff_a, c.cutoff_b)
+
+
+@lru_cache(maxsize=8)
+def _moment_weights(cutoff_a: int, cutoff_b: int) -> np.ndarray:
+    """Dense (dim^2, 6) matrix W with columns vec(O^T) for O = a, a'a, aa,
+    b, b'b, bb, so that vec(rho) @ W gives all six Tr(rho O) at once."""
+    a, b = _mode_operators(cutoff_a, cutoff_b)
+    ops = (a, a.conj().T @ a, a @ a, b, b.conj().T @ b, b @ b)
+    W = np.column_stack([op.T.toarray().reshape(-1) for op in ops])
+    W.setflags(write=False)  # shared through the cache
+    return W
 
 
 def build_hamiltonian(kind: str, p, c: FockConfig) -> sp.csr_matrix:
@@ -101,39 +122,62 @@ def _liouvillian(H, gamma: float, c: FockConfig) -> sp.csr_matrix:
 
 
 class FockTrajectory:
-    """Sampled density-matrix trajectory on the truncated product space."""
+    """Sampled density-matrix trajectory on the truncated product space.
+
+    ``states`` is the (n_samples, dim^2) stack of row-major vec(rho) that the
+    propagator returns; ``rhos`` views it as (n_samples, dim, dim).  Every
+    observable is read from the stack in one batched pass.
+    """
 
     kind = "fock"
 
-    def __init__(self, times, rhos, params, config, coupling, cutoff_ok):
+    def __init__(self, times, states, params, config, coupling, cutoff_ok):
         self.times = np.asarray(times, dtype=float)
-        self.rhos = list(rhos)
+        self.states = states
         self.params = params
         self.config = config
         self.coupling = coupling
         self.cutoff_ok = bool(cutoff_ok)
-        self._nb_op = None
+        self._moments = None
 
     @property
     def omega_b(self):
         return self.params.omega_b
 
+    @property
+    def rhos(self) -> np.ndarray:
+        dim = self.config.cutoff_a * self.config.cutoff_b
+        return self.states.reshape(-1, dim, dim)
+
+    def moments(self) -> np.ndarray:
+        """(n_samples, 6) complex <a>, <a'a>, <aa>, <b>, <b'b>, <bb>."""
+        if self._moments is None:
+            c = self.config
+            self._moments = self.states @ _moment_weights(c.cutoff_a, c.cutoff_b)
+        return self._moments
+
     def battery_population(self) -> np.ndarray:
-        if self._nb_op is None:
-            _, b = mode_operators(self.config)
-            self._nb_op = (b.conj().T @ b).tocsr()
-        return np.array(
-            [np.real(expectation(r, self._nb_op)) for r in self.rhos]
-        )
+        return np.real(self.moments()[:, 4])
 
     def moment_states(self):
         return [
-            extract_moments(r, self.config, t)
-            for r, t in zip(self.rhos, self.times)
+            MomentState(
+                a_mean=complex(m[0]),
+                a_num=float(m[1].real),
+                a_sq=complex(m[2]),
+                b_mean=complex(m[3]),
+                b_num=float(m[4].real),
+                b_sq=complex(m[5]),
+                time=float(t),
+            )
+            for m, t in zip(self.moments(), self.times)
         ]
 
-    def reduced_battery_states(self):
-        return [reduced_battery_state(r, self.config) for r in self.rhos]
+    def reduced_battery_states(self) -> np.ndarray:
+        """(n_samples, cutoff_b, cutoff_b) partial traces over the charger."""
+        c = self.config
+        r5 = self.states.reshape(-1, c.cutoff_a, c.cutoff_b, c.cutoff_a, c.cutoff_b)
+        return np.einsum("nijik->njk", r5)
 
 
 def expectation(rho: np.ndarray, op) -> complex:
@@ -184,24 +228,32 @@ def evolve(
     L = _liouvillian(H, p.gamma, c).tocsc()
     rho0 = vacuum_state(c) if initial_state is None else np.asarray(initial_state, dtype=complex)
     t_grid = np.linspace(0.0, t_end, n_samples)
-    out = expm_multiply(
-        L, rho0.reshape(-1), start=0.0, stop=t_end, num=n_samples, endpoint=True
-    )
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
+    # expm_multiply's norm estimator (onenormest) draws from numpy's global
+    # RNG: give it a fixed stream so results do not depend on the caller's
+    # RNG state, and leave that state as it was.
+    rng_state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        out = expm_multiply(
+            L, rho0.reshape(-1), start=0.0, stop=t_end, num=n_samples, endpoint=True
+        )
+    finally:
+        np.random.set_state(rng_state)
+    # any non-finite entry makes the sum non-finite; summing avoids a
+    # stack-sized boolean temporary
+    if not np.isfinite(out.sum()):
         raise ConvergenceError("Lindblad propagation produced non-finite values")
     dim = c.cutoff_a * c.cutoff_b
-    rhos = [out[i].reshape(dim, dim) for i in range(t_grid.size)]
-
-    cutoff_ok = True
-    for rho in rhos:
-        pop = np.real(np.diag(rho)).reshape(c.cutoff_a, c.cutoff_b)
-        if pop[-1, :].sum() > TOP_LEVEL_TOL or pop[:, -1].sum() > TOP_LEVEL_TOL:
-            cutoff_ok = False
-            break
+    pop = np.real(out[:, :: dim + 1]).reshape(-1, c.cutoff_a, c.cutoff_b)
+    cutoff_ok = not (
+        np.any(pop[:, -1, :].sum(axis=1) > TOP_LEVEL_TOL)
+        or np.any(pop[:, :, -1].sum(axis=1) > TOP_LEVEL_TOL)
+    )
+    traj = FockTrajectory(t_grid, out, p, c, kind, cutoff_ok)
     if validate:
-        for rho in rhos:
+        for rho in traj.rhos:
             check_density_matrix(rho)
-    return FockTrajectory(t_grid, rhos, p, c, kind, cutoff_ok)
+    return traj
 
 
 def extract_moments(rho: np.ndarray, c: FockConfig, time: float = 0.0) -> MomentState:
@@ -225,23 +277,26 @@ def reduced_battery_state(rho: np.ndarray, c: FockConfig) -> np.ndarray:
     return np.einsum("ijik->jk", r4)
 
 
-def exact_ergotropy(rho_b: np.ndarray, omega_b: float) -> float:
+def exact_ergotropy(rho_b: np.ndarray, omega_b: float):
     """Ergotropy of the battery mode without the Gaussian assumption.
 
     Eigenvalues sorted in descending order are paired with ascending Fock
-    energies n * omega_b to form the passive energy.
+    energies n * omega_b to form the passive energy.  ``rho_b`` is one
+    reduced state (returns a float) or a stack of them with shape
+    (n, cutoff_b, cutoff_b) (returns an array of n values).
     """
     rho_b = np.asarray(rho_b, dtype=complex)
-    if np.max(np.abs(rho_b - rho_b.conj().T)) > 1e-8:
+    if np.max(np.abs(rho_b - rho_b.conj().swapaxes(-1, -2))) > 1e-8:
         raise UnphysicalStateError("reduced state not Hermitian")
-    w = np.linalg.eigvalsh(rho_b)
+    w = np.linalg.eigvalsh(rho_b)  # ascending along the last axis
     if w.min() < -1e-8:
         raise UnphysicalStateError(f"negative eigenvalue {w.min():.2e}")
     w = np.clip(w, 0.0, None)
-    levels = omega_b * np.arange(rho_b.shape[0])
-    energy = float(np.sum(np.real(np.diag(rho_b)) * levels))
-    passive = float(np.sum(np.sort(w)[::-1] * levels))
-    return energy - passive
+    levels = omega_b * np.arange(rho_b.shape[-1])
+    energy = np.sum(np.real(np.diagonal(rho_b, axis1=-2, axis2=-1)) * levels, axis=-1)
+    passive = np.sum(w[..., ::-1] * levels, axis=-1)
+    erg = energy - passive
+    return float(erg) if erg.ndim == 0 else erg
 
 
 def converge_cutoffs(
@@ -260,9 +315,8 @@ def converge_cutoffs(
 
     def final_observables(cfg):
         traj = evolve(kind, p, cfg, t_end, n_samples=17)
-        rho_b = reduced_battery_state(traj.rhos[-1], cfg)
         energy = p.omega_b * float(traj.battery_population()[-1])
-        erg = exact_ergotropy(rho_b, p.omega_b)
+        erg = exact_ergotropy(traj.reduced_battery_states()[-1], p.omega_b)
         return energy, erg
 
     if p.Omega == 0.0:
@@ -294,7 +348,6 @@ def conserved_charge_drift(p, c: FockConfig, t_end: float) -> float:
     idx = 1 * c.cutoff_b + 0  # |n_a=1, n_b=0>
     rho0[idx, idx] = 1.0
     traj = evolve("nonlinear", p, c, t_end, n_samples=101, initial_state=rho0)
-    a, b = mode_operators(c)
-    m_op = 2.0 * (a.conj().T @ a) + b.conj().T @ b
-    vals = np.array([np.real(expectation(r, m_op)) for r in traj.rhos])
+    m = traj.moments()
+    vals = 2.0 * m[:, 1].real + m[:, 4].real
     return float(np.max(np.abs(vals - vals[0])))

@@ -54,12 +54,19 @@ def _refine_max(t, y):
 
 def compute_metrics(traj, omega_b: float = None) -> BatteryMetrics:
     """Energy, power and their optima from a sampled trajectory."""
-    t = np.asarray(traj.times, dtype=float)
-    if t.size < 2 or np.any(np.diff(t) <= 0):
-        raise InvalidInputError("need a monotone time grid with >= 2 samples")
     if omega_b is None:
         omega_b = traj.omega_b
-    energy = omega_b * np.asarray(traj.battery_population(), dtype=float)
+    return energy_metrics(
+        traj.times, omega_b * np.asarray(traj.battery_population(), dtype=float)
+    )
+
+
+def energy_metrics(times, energy) -> BatteryMetrics:
+    """Power and the optima of a sampled energy curve E(t)."""
+    t = np.asarray(times, dtype=float)
+    if t.size < 2 or np.any(np.diff(t) <= 0):
+        raise InvalidInputError("need a monotone time grid with >= 2 samples")
+    energy = np.asarray(energy, dtype=float)
     power = energy[1:] / t[1:]
     t_E, E_tE, asym_e = _refine_max(t, energy)
     t_P, P_tP, asym_p = _refine_max(t[1:], power)
@@ -96,7 +103,5 @@ def ergotropy_trajectory(traj, route: str, omega_b: float = None) -> np.ndarray:
     if route == "exact":
         if not hasattr(traj, "reduced_battery_states"):
             raise InvalidInputError("exact route needs density matrices")
-        return np.array(
-            [exact_ergotropy(rb, omega_b) for rb in traj.reduced_battery_states()]
-        )
+        return exact_ergotropy(traj.reduced_battery_states(), omega_b)
     raise InvalidInputError(f"unknown ergotropy route {route!r}")

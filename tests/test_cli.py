@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from cvbattery import cli
+from cvbattery import cli, focksim, metrics
 from cvbattery.errors import ConfigError, ConvergenceError
 
 
@@ -165,6 +165,40 @@ class TestRunCommand:
         # t_end = 40 is not fully relaxed; a couple of percent is expected
         p_steady = 0.5 * (math.sqrt(1.25) - 1.0)
         assert last[5] == pytest.approx(p_steady, rel=3e-2)
+
+    def test_one_fock_evaluation_per_point(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        evolve = focksim.evolve
+
+        def counting_evolve(*args, **kwargs):
+            calls.append(args)
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(focksim, "evolve", counting_evolve)
+        path = write_scenario(tmp_path, NONLINEAR_SCENARIO)
+        assert cli.main(["run", str(path), "--route", "all",
+                         "--samples", "33", "--t-end", "10.0"]) == 0
+        assert len(calls) == 1
+        lines = capsys.readouterr().out.splitlines()
+        header = [l for l in lines if l.startswith("t,")][0].split(",")
+        col = header.index("energy_fock")
+        rows = [l.split(",") for l in lines if l and l[0].isdigit()]
+        t = np.array([float(r[0]) for r in rows])
+        energy = np.array([float(r[col]) for r in rows])
+        summary = [l for l in lines if l.startswith("fock,")][0].split(",")[1:]
+        m = metrics.energy_metrics(t, energy)
+        assert [float(x) for x in summary] == pytest.approx(
+            [m.t_E, m.E_tE, m.t_P, m.P_tP], rel=1e-10)
+
+        calls.clear()
+        sweep = NONLINEAR_SCENARIO + (
+            "sweep_param = Omega\nsweep_min = 0.05\nsweep_max = 0.25\n"
+            "sweep_points = 3\nsweep_scale = log\n"
+        )
+        path = write_scenario(tmp_path, sweep, name="sweep.txt")
+        assert cli.main(["run", str(path), "--route", "fock",
+                         "--samples", "9", "--t-end", "4.0"]) == 0
+        assert len(calls) == 3
 
     def test_config_error_exit_code(self, tmp_path):
         path = write_scenario(tmp_path, "coupling = warp\n")

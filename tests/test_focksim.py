@@ -158,6 +158,63 @@ class TestEvolve:
         with pytest.raises(InvalidInputError):
             evolve("linear", LinearParams(g=1.0), CFG, 0.0)
 
+    def test_global_rng_neither_used_nor_advanced(self):
+        p = NonlinearParams(Omega=0.25, J=1.0, gamma=0.5)
+        saved = np.random.get_state()
+        try:
+            np.random.seed(11)
+            before = np.random.get_state()
+            first = evolve("nonlinear", p, CFG, 10.0, n_samples=5).states
+            after = np.random.get_state()
+            assert before[0] == after[0] and before[2:] == after[2:]
+            assert np.array_equal(before[1], after[1])
+            np.random.seed(12)
+            second = evolve("nonlinear", p, CFG, 10.0, n_samples=5).states
+        finally:
+            np.random.set_state(saved)
+        assert np.array_equal(first, second)
+
+
+def _random_density_matrix(dim, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = m @ m.conj().T
+    return rho / np.trace(rho)
+
+
+@pytest.mark.parametrize(
+    "kind,p,rho0",
+    [
+        ("linear", LinearParams(Omega=0.1, g=0.5, gamma=1.0), None),
+        # a generic start makes the odd-parity moments <a>, <b> nonzero
+        ("nonlinear", NonlinearParams(Omega=0.25, J=1.0, gamma=0.5),
+         _random_density_matrix(36, 7)),
+    ],
+)
+def test_batched_observables_match_per_sample(kind, p, rho0):
+    traj = evolve(kind, p, CFG, 6.0, n_samples=13, initial_state=rho0)
+    _, b = mode_operators(CFG)
+    nb = (b.conj().T @ b).tocsr()
+    fields = ("a_mean", "a_num", "a_sq", "b_mean", "b_num", "b_sq", "time")
+    batched = traj.moment_states()
+    assert len(batched) == len(traj.rhos) == 13
+    for rho, t, m in zip(traj.rhos, traj.times, batched):
+        ref = extract_moments(rho, CFG, t)
+        for f in fields:
+            assert abs(getattr(m, f) - getattr(ref, f)) < 1e-12, f
+    pop = np.array([np.real(expectation(rho, nb)) for rho in traj.rhos])
+    assert np.max(np.abs(traj.battery_population() - pop)) < 1e-12
+    reduced = traj.reduced_battery_states()
+    ref_reduced = np.array([reduced_battery_state(r, CFG) for r in traj.rhos])
+    assert reduced.shape == (13, 6, 6)
+    assert np.max(np.abs(reduced - ref_reduced)) < 1e-12
+    erg = exact_ergotropy(reduced, p.omega_b)
+    ref_erg = [exact_ergotropy(r, p.omega_b) for r in ref_reduced]
+    assert np.max(np.abs(erg - ref_erg)) < 1e-12
+    if rho0 is not None:
+        assert np.max(np.abs([m.b_mean for m in batched])) > 1e-3
+        assert np.max(np.abs([m.a_mean for m in batched])) > 1e-3
+
 
 class TestObservables:
     def test_extract_moments_fock_state(self):
@@ -225,6 +282,21 @@ class TestErgotropy:
     def test_unphysical_rejected(self):
         with pytest.raises(UnphysicalStateError):
             exact_ergotropy(np.array([[0.5, 1.0], [0.0, 0.5]]), 1.0)
+
+    def test_stack_matches_single_and_is_checked(self):
+        good = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
+        passive = np.diag([0.5, 0.3, 0.15, 0.05]).astype(complex)
+        erg = exact_ergotropy(np.stack([good, passive]), 1.0)
+        assert erg.shape == (2,)
+        assert erg[0] == exact_ergotropy(good, 1.0)
+        assert erg[1] == exact_ergotropy(passive, 1.0)
+        skew = good.copy()
+        skew[0, 1] = 0.1
+        with pytest.raises(UnphysicalStateError, match="not Hermitian"):
+            exact_ergotropy(np.stack([good, skew]), 1.0)
+        negative = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
+        with pytest.raises(UnphysicalStateError, match="negative eigenvalue"):
+            exact_ergotropy(np.stack([negative, good]), 1.0)
 
 
 class TestConvergence:
