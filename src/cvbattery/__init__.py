@@ -8,7 +8,6 @@ truncated-Fock-space Lindblad integration.
 """
 
 from .cumulant import (
-    CumulantState,
     NonlinearParams,
     cumulant_rhs,
     integrate_cumulant,

@@ -16,10 +16,11 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import lambertw
 
 from . import cumulant, focksim, linear, metrics, perturbation
 from .errors import ConfigError, ConvergenceError, CvBatteryError, UnsupportedRegimeError
-from .gaussian import covariance_determinant, passive_energy, quadrature_stats
+from .gaussian import MomentState, quadrature_stats
 
 ROUTES = ("analytic", "cumulant", "perturbation", "fock", "all")
 
@@ -45,8 +46,6 @@ class Scenario:
     n_samples: int = 512
     cutoff_a: int = 8
     cutoff_b: int = 8
-    fock_rel_tol: float = 1e-9
-    fock_abs_tol: float = 1e-11
     sweep: dict = field(default=None)
 
     def params(self):
@@ -60,8 +59,7 @@ class Scenario:
 
 
 _FLOAT_KEYS = {
-    "omega_b", "Omega", "gamma", "g", "J", "t_end",
-    "fock_rel_tol", "fock_abs_tol", "sweep_min", "sweep_max",
+    "omega_b", "Omega", "gamma", "g", "J", "t_end", "sweep_min", "sweep_max",
 }
 _INT_KEYS = {"n_samples", "cutoff_a", "cutoff_b", "sweep_points"}
 _STR_KEYS = {"coupling", "route", "sweep_param", "sweep_scale"}
@@ -154,9 +152,7 @@ def _route_series(sc: Scenario, route: str):
         if sc.coupling != "linear":
             return t, empty, None, "analytic route applies to linear coupling only"
         e = linear.energy_linear(t, p)
-        summary = (linear.optimal_time_energy(p), linear.optimal_energy(p),
-                   linear.optimal_time_power(p), linear.max_power(p))
-        return t, _series_min_uncertainty(t, e), summary, None
+        return t, _series_min_uncertainty(t, e), _linear_optima(p), None
     if route == "perturbation":
         if sc.coupling != "nonlinear":
             return t, empty, None, "perturbation route applies to nonlinear coupling only"
@@ -176,12 +172,7 @@ def _route_series(sc: Scenario, route: str):
         cols, summary = _series_from_traj(traj, "gaussian")
         return t, cols, summary, None
     if route == "fock":
-        cfg = focksim.FockConfig(
-            cutoff_a=sc.cutoff_a,
-            cutoff_b=sc.cutoff_b,
-            rel_tol=sc.fock_rel_tol,
-            abs_tol=sc.fock_abs_tol,
-        )
+        cfg = focksim.FockConfig(cutoff_a=sc.cutoff_a, cutoff_b=sc.cutoff_b)
         traj = focksim.evolve(sc.coupling, p, cfg, sc.t_end, sc.n_samples)
         cols, summary = _series_from_traj(traj, "exact")
         return t, cols, summary, None
@@ -190,6 +181,14 @@ def _route_series(sc: Scenario, route: str):
 
 def _optima(m):
     return (m.t_E, m.E_tE, m.t_P, m.P_tP)
+
+
+def _linear_optima(p):
+    """Closed-form (t_E, E_tE, t_P, P_tP), solving for t_P once; P_tP is the
+    expression ``linear.max_power`` evaluates."""
+    t_p = linear.optimal_time_power(p)
+    return (linear.optimal_time_energy(p), linear.optimal_energy(p),
+            t_p, linear.energy_linear(t_p, p) / t_p)
 
 
 def _series_min_uncertainty(t, energy):
@@ -208,21 +207,14 @@ def _series_min_uncertainty(t, energy):
 def _series_from_traj(traj, ergo_route):
     """Column group and optima of a sampled trajectory."""
     m = metrics.compute_metrics(traj)
-    ergo = metrics.ergotropy_trajectory(traj, ergo_route)
-    var_x, var_p, det = [], [], []
-    for ms in traj.moment_states():
-        qs = quadrature_stats(ms)
-        var_x.append(qs.var_x)
-        var_p.append(qs.var_p)
-        det.append(qs.det)
-    power = np.concatenate([[np.nan], m.power])
+    qs = quadrature_stats(MomentState.from_array(traj.moments()))
     cols = {
         "energy": m.energy,
-        "power": power,
-        "ergotropy": ergo,
-        "var_x": np.array(var_x),
-        "var_p": np.array(var_p),
-        "det": np.array(det),
+        "power": np.concatenate([[np.nan], m.power]),
+        "ergotropy": metrics.ergotropy_trajectory(traj, ergo_route),
+        "var_x": qs.var_x,
+        "var_p": qs.var_p,
+        "det": qs.det,
     }
     return cols, _optima(m)
 
@@ -342,13 +334,7 @@ def _figure_fig2(outdir, points_per_decade=200):
         for r in ratios:
             pr = linear.LinearParams(omega_b=1.0, Omega=0.1, g=float(r) * gamma,
                                      gamma=gamma)
-            fh.write(",".join([
-                _fmt(float(r)),
-                _fmt(linear.optimal_time_energy(pr)),
-                _fmt(linear.optimal_energy(pr)),
-                _fmt(linear.optimal_time_power(pr)),
-                _fmt(linear.max_power(pr)),
-            ]) + "\n")
+            fh.write(",".join(_fmt(x) for x in (float(r), *_linear_optima(pr))) + "\n")
     paths.append(path)
     return paths
 
@@ -417,8 +403,7 @@ def _figure_fig4(outdir, sweep_points=9, **_):
                 p = cumulant.NonlinearParams(omega_b=1.0, Omega=float(r) * J,
                                              J=J, gamma=gamma)
                 cut_b = 8 if r <= 0.12 else (16 if r <= 0.5 else 24)
-                cfg = focksim.FockConfig(cutoff_a=8, cutoff_b=cut_b,
-                                         rel_tol=1e-8, abs_tol=1e-10)
+                cfg = focksim.FockConfig(cutoff_a=8, cutoff_b=cut_b)
                 traj = focksim.evolve("nonlinear", p, cfg, t_end, 257)
                 m = metrics.compute_metrics(traj)
                 erg = focksim.exact_ergotropy(
@@ -444,7 +429,7 @@ def print_constants(out):
     lc = linear.linear_constants()
     pc = perturbation.perturbation_constants()
     rows = [
-        ("A", lc.A, abs(lc.A + 0.5 + linear.lambert_w_minus1(-1.0 / (2.0 * math.sqrt(math.e))))),
+        ("A", lc.A, abs(lc.A + 0.5 + lambertw(-1.0 / (2.0 * math.sqrt(math.e)), -1).real)),
         ("B", lc.B, abs(math.tan(lc.B / 2.0) - 2.0 * lc.B)),
         ("C", lc.C, abs(lc.C - 2.0 * (1.0 - math.exp(-lc.A)) ** 2 / lc.A)),
         ("D_strong", lc.D_strong, abs(lc.D_strong - 4.0 * math.sin(lc.B / 2.0) ** 4 / lc.B)),

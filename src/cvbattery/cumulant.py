@@ -14,7 +14,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import ConvergenceError, InvalidInputError
-from .gaussian import MomentState, QuadratureStats
+from .gaussian import MomentState, QuadratureStats, covariance_determinant
 
 DET_DRIFT_TOL = 1e-8
 
@@ -38,94 +38,69 @@ class NonlinearParams:
             raise InvalidInputError(f"invalid rates in {self!r}")
 
 
-@dataclass(frozen=True)
-class CumulantState:
-    """The five cumulant variables at one instant (<b> = 0 is built in)."""
+def cumulant_rhs(t, y, p: NonlinearParams):
+    """Time derivatives of the cumulant state vector y, whose components are
+    Re<a>, Im<a>, <a'a>, <b'b>, Re<aa>, Im<aa>, Re<bb>, Im<bb>.
 
-    a_mean: complex = 0.0
-    a_num: float = 0.0
-    b_num: float = 0.0
-    a_sq: complex = 0.0
-    b_sq: complex = 0.0
-    time: float = 0.0
-
-    def determinant(self) -> float:
-        """(1 + 2<b'b>)^2 - 4|<bb>|^2, conserved along trajectories."""
-        return (1.0 + 2.0 * self.b_num) ** 2 - 4.0 * abs(self.b_sq) ** 2
-
-    def as_moments(self) -> MomentState:
-        return MomentState(
-            a_mean=self.a_mean,
-            a_num=self.a_num,
-            a_sq=self.a_sq,
-            b_mean=0.0,
-            b_num=self.b_num,
-            b_sq=self.b_sq,
-            time=self.time,
-        )
-
-
-def cumulant_rhs(s: CumulantState, p: NonlinearParams) -> CumulantState:
-    """Time derivatives of the five cumulant variables."""
-    a = complex(s.a_mean)
-    bb = complex(s.b_sq)
-    flow = p.J * (np.conj(a) * bb).imag  # Im(<a'><bb>)
-    da = -(p.gamma / 2.0) * a - 1j * p.J * bb - 1j * p.Omega
-    dna = -p.gamma * s.a_num + 2.0 * flow - 2.0 * p.Omega * a.imag
-    dnb = -4.0 * flow
-    daa = -p.gamma * complex(s.a_sq) - 2j * p.Omega * a - 2j * p.J * a * bb
-    dbb = -2j * p.J * a - 4j * p.J * a * s.b_num
-    return CumulantState(a_mean=da, a_num=dna, b_num=dnb, a_sq=daa, b_sq=dbb)
-
-
-def _pack(s: CumulantState) -> np.ndarray:
-    return np.array(
-        [
-            s.a_mean.real,
-            s.a_mean.imag,
-            s.a_num,
-            s.b_num,
-            s.a_sq.real,
-            s.a_sq.imag,
-            s.b_sq.real,
-            s.b_sq.imag,
-        ]
-    )
-
-
-def _unpack(y, t=0.0) -> CumulantState:
-    return CumulantState(
-        a_mean=complex(y[0], y[1]),
-        a_num=float(y[2]),
-        b_num=float(y[3]),
-        a_sq=complex(y[4], y[5]),
-        b_sq=complex(y[6], y[7]),
-        time=float(t),
+    Called directly by the integrator, so it builds no objects beyond the
+    returned tuple.
+    """
+    gamma, J, Omega = p.gamma, p.J, p.Omega
+    a = complex(y[0], y[1])
+    aa = complex(y[4], y[5])
+    bb = complex(y[6], y[7])
+    flow = J * (a.conjugate() * bb).imag  # Im(<a'><bb>)
+    da = -(gamma / 2.0) * a - 1j * J * bb - 1j * Omega
+    daa = -gamma * aa - 2j * Omega * a - 2j * J * a * bb
+    dbb = -2j * J * a - 4j * J * a * y[3]
+    return (
+        da.real,
+        da.imag,
+        -gamma * y[2] + 2.0 * flow - 2.0 * Omega * a.imag,
+        -4.0 * flow,
+        daa.real,
+        daa.imag,
+        dbb.real,
+        dbb.imag,
     )
 
 
 class CumulantTrajectory:
-    """Uniformly sampled cumulant trajectory."""
+    """Uniformly sampled cumulant trajectory.
+
+    ``states`` is the (n_samples, 8) array of integrator state vectors in the
+    component order of :func:`cumulant_rhs`.
+    """
 
     kind = "cumulant"
 
     def __init__(self, times, states, params):
         self.times = np.asarray(times, dtype=float)
-        self.states = list(states)
+        self.states = np.asarray(states, dtype=float)
         self.params = params
-
-    def battery_population(self) -> np.ndarray:
-        return np.array([max(s.b_num, 0.0) for s in self.states])
-
-    def determinants(self) -> np.ndarray:
-        return np.array([s.determinant() for s in self.states])
-
-    def moment_states(self):
-        return [s.as_moments() for s in self.states]
 
     @property
     def omega_b(self):
         return self.params.omega_b
+
+    def moments(self) -> np.ndarray:
+        """(n_samples, 6) complex <a>, <a'a>, <aa>, <b>, <b'b>, <bb>; the
+        <b> column is zero."""
+        y = self.states
+        out = np.zeros((y.shape[0], 6), dtype=complex)
+        out[:, 0] = y[:, 0] + 1j * y[:, 1]
+        out[:, 1] = y[:, 2]
+        out[:, 2] = y[:, 4] + 1j * y[:, 5]
+        out[:, 4] = y[:, 3]
+        out[:, 5] = y[:, 6] + 1j * y[:, 7]
+        return out
+
+    def battery_population(self) -> np.ndarray:
+        return np.maximum(self.states[:, 3], 0.0)
+
+    def determinants(self) -> np.ndarray:
+        """Battery covariance determinant at every sample (conserved)."""
+        return covariance_determinant(MomentState.from_array(self.moments()))
 
 
 def integrate_cumulant(
@@ -146,36 +121,15 @@ def integrate_cumulant(
     if n_samples < 2:
         raise InvalidInputError("need at least 2 samples")
 
-    # flat-array version of cumulant_rhs (no dataclass churn in the hot loop)
-    gamma, J, Omega = p.gamma, p.J, p.Omega
-
-    def rhs(t, y):
-        a = complex(y[0], y[1])
-        aa = complex(y[4], y[5])
-        bb = complex(y[6], y[7])
-        flow = J * (a.conjugate() * bb).imag
-        da = -(gamma / 2.0) * a - 1j * J * bb - 1j * Omega
-        daa = -gamma * aa - 2j * Omega * a - 2j * J * a * bb
-        dbb = -2j * J * a - 4j * J * a * y[3]
-        return (
-            da.real,
-            da.imag,
-            -gamma * y[2] + 2.0 * flow - 2.0 * Omega * a.imag,
-            -4.0 * flow,
-            daa.real,
-            daa.imag,
-            dbb.real,
-            dbb.imag,
-        )
-
     t_grid = np.linspace(0.0, t_end, n_samples)
     for attempt, (rt, at) in enumerate([(rel_tol, abs_tol), (rel_tol / 100, abs_tol / 100)]):
         sol = solve_ivp(
-            rhs,
+            cumulant_rhs,
             (0.0, t_end),
             np.zeros(8),
             method="DOP853",
             t_eval=t_grid,
+            args=(p,),
             rtol=rt,
             atol=at,
         )
@@ -183,10 +137,10 @@ def integrate_cumulant(
             raise ConvergenceError(
                 f"cumulant integration stalled at t = {sol.t[-1] if sol.t.size else 0.0}"
             )
-        states = [_unpack(sol.y[:, i], t_grid[i]) for i in range(t_grid.size)]
-        drift = max(abs(s.determinant() - 1.0) for s in states)
+        traj = CumulantTrajectory(t_grid, sol.y.T, p)
+        drift = np.max(np.abs(traj.determinants() - 1.0))
         if drift <= DET_DRIFT_TOL:
-            return CumulantTrajectory(t_grid, states, p)
+            return traj
         if attempt == 0:
             warnings.warn(
                 f"determinant drift {drift:.2e} above tolerance; re-integrating",
@@ -195,18 +149,11 @@ def integrate_cumulant(
     raise ConvergenceError(f"determinant drift {drift:.2e} persists after retry")
 
 
-def steady_state_nonlinear(p: NonlinearParams) -> CumulantState:
+def steady_state_nonlinear(p: NonlinearParams) -> MomentState:
     """Fixed point of the cumulant equations (gamma-independent)."""
     r = 2.0 * p.Omega / p.J
     n_b = (math.sqrt(1.0 + r * r) - 1.0) / 2.0
-    return CumulantState(
-        a_mean=0.0,
-        a_num=0.0,
-        b_num=n_b,
-        a_sq=0.0,
-        b_sq=-p.Omega / p.J,
-        time=math.inf,
-    )
+    return MomentState(b_num=n_b, b_sq=-p.Omega / p.J, time=math.inf)
 
 
 def steady_energy_nonlinear(p: NonlinearParams) -> float:

@@ -7,7 +7,6 @@ with row-major (C-order) vectorization, i.e. basis state |n_a, n_b> sits at
 flat index n_a * cutoff_b + n_b.
 """
 
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -27,19 +26,15 @@ TOP_LEVEL_TOL = 1e-6  # max allowed population of the highest retained level
 
 @dataclass(frozen=True)
 class FockConfig:
-    """Truncation and integration controls for the exact route."""
+    """Truncation and convergence controls for the exact route."""
 
     cutoff_a: int = 8
     cutoff_b: int = 8
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-11
     convergence_rel: float = 1e-4
 
     def __post_init__(self):
         if self.cutoff_a < 2 or self.cutoff_b < 2:
             raise InvalidInputError("cutoffs must be at least 2")
-        if not (0 < self.rel_tol < 1 and 0 < self.abs_tol < 1):
-            raise InvalidInputError("tolerances must lie in (0, 1)")
 
 
 def destroy(n: int) -> sp.csr_matrix:
@@ -159,20 +154,6 @@ class FockTrajectory:
     def battery_population(self) -> np.ndarray:
         return np.real(self.moments()[:, 4])
 
-    def moment_states(self):
-        return [
-            MomentState(
-                a_mean=complex(m[0]),
-                a_num=float(m[1].real),
-                a_sq=complex(m[2]),
-                b_mean=complex(m[3]),
-                b_num=float(m[4].real),
-                b_sq=complex(m[5]),
-                time=float(t),
-            )
-            for m, t in zip(self.moments(), self.times)
-        ]
-
     def reduced_battery_states(self) -> np.ndarray:
         """(n_samples, cutoff_b, cutoff_b) partial traces over the charger."""
         c = self.config
@@ -215,12 +196,11 @@ def evolve(
     """Propagate the rotated-frame master equation and sample uniformly.
 
     The Liouvillian is time independent, so the evolution is computed as
-    the exact action of the matrix exponential (Al-Mohy/Higham algorithm);
-    the result is accurate to machine precision, below the configured
-    integrator tolerances.  Starts from the two-mode vacuum unless
-    ``initial_state`` is given.  Sets ``cutoff_ok = False`` when the top
-    retained Fock level of either mode is populated beyond
-    ``TOP_LEVEL_TOL`` at any sample.
+    the exact action of the matrix exponential (Al-Mohy/Higham algorithm),
+    accurate to machine precision with no tolerance to set.  Starts from
+    the two-mode vacuum unless ``initial_state`` is given.  Sets
+    ``cutoff_ok = False`` when the top retained Fock level of either mode is
+    populated beyond ``TOP_LEVEL_TOL`` at any sample.
     """
     if t_end <= 0:
         raise InvalidInputError("t_end must be positive")

@@ -9,6 +9,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
+from scipy.special import lambertw
 
 from .errors import ConvergenceError, InconsistencyError, InvalidInputError
 
@@ -44,56 +46,14 @@ class LinearConstants:
     D_strong: float
 
 
-def lambert_w_minus1(x: float) -> float:
-    """Branch -1 of the Lambert W function for x in (-1/e, 0).
-
-    Newton iteration on w e^w = x starting from the standard asymptotic
-    guess log(-x) - log(-log(-x)).
-    """
-    if not -1.0 / math.e < x < 0.0:
-        raise InvalidInputError(f"W_-1 requires x in (-1/e, 0), got {x}")
-    lx = math.log(-x)
-    w = lx - math.log(-lx)
-    for _ in range(100):
-        ew = math.exp(w)
-        f = w * ew - x
-        step = f / (ew * (1.0 + w))
-        w -= step
-        if abs(step) <= 1e-16 * max(1.0, abs(w)):
-            return w
-    raise ConvergenceError("Lambert W_-1 Newton iteration did not converge")
-
-
-def _bisect(f, lo, hi, tol=1e-15, max_iter=200):
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    if flo * f(hi) > 0:
-        raise ConvergenceError(f"root not bracketed on ({lo}, {hi})")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0 or (hi - lo) < tol:
-            return mid
-        if flo * fm < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
 def linear_constants() -> LinearConstants:
     """Constants of the power asymptotes.
 
     A = -1/2 - W_-1(-1/(2 sqrt(e))), B solves tan(B/2) = 2B on (2, 3),
     C = 2(1 - e^-A)^2/A and D_strong = 4 sin^4(B/2)/B.
     """
-    a = -0.5 - lambert_w_minus1(-1.0 / (2.0 * math.sqrt(math.e)))
-    b = _bisect(lambda x: math.tan(x / 2.0) - 2.0 * x, 2.0, 3.0)
-    # Newton polish for a residual below 1e-14
-    for _ in range(5):
-        r = math.tan(b / 2.0) - 2.0 * b
-        b -= r / (0.5 / math.cos(b / 2.0) ** 2 - 2.0)
+    a = -0.5 - float(lambertw(-1.0 / (2.0 * math.sqrt(math.e)), -1).real)
+    b = brentq(lambda x: math.tan(x / 2.0) - 2.0 * x, 2.0, 3.0, xtol=1e-15)
     c = 2.0 * (1.0 - math.exp(-a)) ** 2 / a
     d = 4.0 * math.sin(b / 2.0) ** 4 / b
     return LinearConstants(A=a, B=b, C=c, D_strong=d)
@@ -181,6 +141,10 @@ def optimal_energy(p: LinearParams) -> float:
 
 
 def _golden_max(f, lo, hi, rel_tol=1e-10):
+    # Kept instead of scipy's bounded minimize_scalar: t_P sits on a flat
+    # maximum, and on fig2's 801-point grid the scipy optimiser moved t_P by
+    # up to 5e-8 relative, more than the 1e-8 to which figure outputs are
+    # compared with their references.
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - gr * (b - a)

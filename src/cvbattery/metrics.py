@@ -1,7 +1,8 @@
 """Performance measures extracted from sampled trajectories.
 
 Works on any trajectory object exposing ``times``, ``battery_population()``
-and ``omega_b`` (both the cumulant and the Fock routes do).
+and ``omega_b``; the Gaussian ergotropy also reads ``moments()``.  The
+cumulant and the Fock trajectories expose all four.
 """
 
 from dataclasses import dataclass, field
@@ -10,7 +11,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .focksim import exact_ergotropy
-from .gaussian import covariance_determinant, ergotropy_gaussian, passive_energy
+from .gaussian import MomentState, covariance_determinant, ergotropy_gaussian, passive_energy
 
 
 @dataclass
@@ -92,14 +93,12 @@ def ergotropy_trajectory(traj, route: str, omega_b: float = None) -> np.ndarray:
     if omega_b is None:
         omega_b = traj.omega_b
     if route == "gaussian":
-        if not hasattr(traj, "moment_states"):
+        if not hasattr(traj, "moments"):
             raise InvalidInputError("gaussian route needs moment data")
-        out = []
-        for m in traj.moment_states():
-            det = covariance_determinant(m)
-            energy = omega_b * max(m.b_num, 0.0)
-            out.append(ergotropy_gaussian(energy, passive_energy(omega_b, det)))
-        return np.array(out)
+        m = MomentState.from_array(traj.moments())
+        energy = omega_b * np.maximum(m.b_num, 0.0)
+        passive = passive_energy(omega_b, covariance_determinant(m))
+        return ergotropy_gaussian(energy, passive)
     if route == "exact":
         if not hasattr(traj, "reduced_battery_states"):
             raise InvalidInputError("exact route needs density matrices")

@@ -9,10 +9,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .cumulant import NonlinearParams
 from .errors import InvalidInputError, UnsupportedRegimeError
-from .linear import _bisect
 
 
 @dataclass(frozen=True)
@@ -25,10 +25,7 @@ class PerturbationConstants:
 
 
 def perturbation_constants() -> PerturbationConstants:
-    alpha = _bisect(lambda x: math.tan(x) - 4.0 * x, 1.2, 1.5)
-    for _ in range(5):  # Newton polish
-        r = math.tan(alpha) - 4.0 * alpha
-        alpha -= r / (1.0 / math.cos(alpha) ** 2 - 4.0)
+    alpha = brentq(lambda x: math.tan(x) - 4.0 * x, 1.2, 1.5, xtol=1e-15)
     beta = 2.0 * math.sqrt(2.0) * math.sin(alpha) ** 4 / alpha
     return PerturbationConstants(alpha=alpha, beta=beta)
 

@@ -26,7 +26,7 @@ from cvbattery.focksim import (
     exact_ergotropy,
     reduced_battery_state,
 )
-from cvbattery.gaussian import covariance_determinant
+from cvbattery.gaussian import MomentState, covariance_determinant
 from cvbattery.linear import (
     LinearParams,
     energy_linear,
@@ -137,7 +137,7 @@ def test_criterion_2_linear_cross_check(fock_linear):
     e_ref = energy_linear(traj.times, p)
     e = traj.omega_b * traj.battery_population()
     rel_err = np.max(np.abs(e - e_ref)) / np.max(e_ref)
-    dets = [covariance_determinant(m) for m in traj.moment_states()]
+    dets = covariance_determinant(MomentState.from_array(traj.moments()))
     det_err = max(abs(d - 1.0) for d in dets)
     erg = ergotropy_trajectory(traj, "exact")
     scale = np.maximum(e, 1e-12)
@@ -229,7 +229,7 @@ def test_criterion_5_cumulant_invariant():
         if gamma > 0.0:
             # the dissipationless case never relaxes; steady-state clauses
             # apply to the damped runs
-            final = traj.states[-1]
+            final = MomentState.from_array(traj.moments()[-1])
             checks.append((f"<bb> -> -Omega/J at {tag}",
                            abs(final.b_sq - (-Omega)) < 1e-5))
             checks.append((f"steady energy at {tag}",
@@ -350,8 +350,8 @@ def test_criterion_10_property_suite(fock_linear, fock_nonlinear):
     checks = []
     det_min = math.inf
     for traj in (fock_linear[0], fock_nonlinear[0]):
-        for m in traj.moment_states():
-            det_min = min(det_min, covariance_determinant(m))
+        dets = covariance_determinant(MomentState.from_array(traj.moments()))
+        det_min = min(det_min, dets.min())
         for rho in traj.rhos:
             check_density_matrix(rho)  # raises on violation
     checks.append(("det >= 1 - 1e-6 on fock trajectories",

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from cvbattery import cli, focksim, metrics
+from cvbattery import cli, focksim, linear, metrics
 from cvbattery.errors import ConfigError, ConvergenceError
 
 
@@ -80,6 +80,13 @@ class TestParseScenario:
         text = NONLINEAR_SCENARIO + "sweep_param = Omega\n"
         with pytest.raises(ConfigError):
             cli.parse_scenario(write_scenario(tmp_path, text))
+
+    @pytest.mark.parametrize("key", ["fock_rel_tol", "fock_abs_tol"])
+    def test_removed_fock_tolerance_keys(self, tmp_path, capsys, key):
+        # the Fock propagator has no tolerances, so these keys are unknown
+        path = write_scenario(tmp_path, NONLINEAR_SCENARIO + f"{key} = 1e-9\n")
+        assert cli.main(["run", str(path)]) == 2
+        assert "unknown key" in capsys.readouterr().err
 
     def test_unphysical_params_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -199,6 +206,22 @@ class TestRunCommand:
         assert cli.main(["run", str(path), "--route", "fock",
                          "--samples", "9", "--t-end", "4.0"]) == 0
         assert len(calls) == 3
+
+    def test_one_power_optimum_solve_per_point(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        optimal_time_power = linear.optimal_time_power
+
+        def counting(p):
+            calls.append(p)
+            return optimal_time_power(p)
+
+        monkeypatch.setattr(linear, "optimal_time_power", counting)
+        path = write_scenario(tmp_path, LINEAR_SCENARIO)
+        assert cli.main(["run", str(path)]) == 0
+        assert len(calls) == 1
+        calls.clear()
+        assert cli.main(["figure", "fig2", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 801  # one per g/gamma point
 
     def test_config_error_exit_code(self, tmp_path):
         path = write_scenario(tmp_path, "coupling = warp\n")

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvbattery.errors import InvalidInputError, UnphysicalStateError
 from cvbattery.gaussian import (
+    DET_GUARD,
     MomentState,
     covariance_determinant,
     ergotropy_gaussian,
@@ -126,3 +129,75 @@ def test_non_finite_inputs_rejected():
         quadrature_stats(MomentState(b_num=float("nan")))
     with pytest.raises(InvalidInputError):
         covariance_determinant(MomentState(b_sq=complex(float("inf"), 0.0)))
+
+
+# --- array path: one call over many states equals the scalar calls --------
+
+_state = st.tuples(
+    st.floats(0.0, 3.0),  # thermal occupation n_bar
+    st.floats(0.0, 1.5),  # squeezing r
+    st.floats(0.0, 2.0 * math.pi),  # squeezing angle phi
+    st.complex_numbers(max_magnitude=2.0),  # displacement beta
+)
+
+
+def _physical_moments(states):
+    """Moment arrays of displaced squeezed thermal states."""
+    n_bar, r, phi, beta = (np.array(x) for x in zip(*states))
+    n = (n_bar + 0.5) * np.cosh(2.0 * r) - 0.5
+    c = -(n_bar + 0.5) * np.sinh(2.0 * r) * np.exp(1j * phi)
+    return MomentState(b_mean=beta.astype(complex), b_num=n + np.abs(beta) ** 2,
+                       b_sq=c + beta * beta)
+
+
+def _scalar(m, i):
+    return MomentState(b_mean=complex(m.b_mean[i]), b_num=float(m.b_num[i]),
+                       b_sq=complex(m.b_sq[i]))
+
+
+def _assert_elementwise(array_result, scalar_results):
+    expected = np.array(scalar_results, dtype=float)
+    assert array_result.shape == expected.shape
+    assert np.all(np.abs(array_result - expected) <= 1e-15 * np.abs(expected))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(_state, min_size=1, max_size=12), st.floats(0.1, 5.0))
+def test_array_calls_match_scalar_calls(states, omega):
+    m = _physical_moments(states)
+    scalars = [_scalar(m, i) for i in range(len(states))]
+    qs = quadrature_stats(m)
+    for field in ("var_x", "var_p", "coherence", "det"):
+        _assert_elementwise(getattr(qs, field),
+                            [getattr(quadrature_stats(s), field) for s in scalars])
+    det = covariance_determinant(m)
+    _assert_elementwise(det, [covariance_determinant(s) for s in scalars])
+    _assert_elementwise(purity(det), [purity(d) for d in det])
+    passive = passive_energy(omega, det)
+    _assert_elementwise(passive, [passive_energy(omega, d) for d in det])
+    energy = omega * m.b_num
+    _assert_elementwise(ergotropy_gaussian(energy, passive),
+                        [ergotropy_gaussian(e, pe) for e, pe in zip(energy, passive)])
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.lists(_state, min_size=1, max_size=12), st.data())
+def test_one_bad_sample_fails_the_array(states, data):
+    m = _physical_moments(states)
+    i = data.draw(st.integers(0, len(states) - 1))
+    b_num = m.b_num.copy()
+    b_num[i] = np.nan
+    nan_state = MomentState(b_mean=m.b_mean, b_num=b_num, b_sq=m.b_sq)
+    with pytest.raises(InvalidInputError):
+        quadrature_stats(nan_state)
+    with pytest.raises(InvalidInputError):
+        covariance_determinant(nan_state)
+    # <b'b> = 0 with |<bb>| = 0.3 gives D = 1 - 4 (0.3)^2 = 0.64
+    b_mean, b_num, b_sq = m.b_mean.copy(), m.b_num.copy(), m.b_sq.copy()
+    b_mean[i], b_num[i], b_sq[i] = 0.0, 0.0, 0.3
+    det = covariance_determinant(MomentState(b_mean=b_mean, b_num=b_num, b_sq=b_sq))
+    assert det[i] < 1.0 - DET_GUARD
+    with pytest.raises(UnphysicalStateError):
+        passive_energy(1.0, det)
+    with pytest.raises(UnphysicalStateError):
+        purity(det)

@@ -14,7 +14,6 @@ from cvbattery.linear import (
     LinearParams,
     energy_linear,
     exceptional_point,
-    lambert_w_minus1,
     linear_constants,
     max_power,
     optimal_energy,
@@ -69,19 +68,6 @@ class TestConstants:
                        xtol=1e-15)
         assert lc.A == pytest.approx(a_ref, abs=1e-13)
         assert lc.B == pytest.approx(b_ref, abs=1e-12)
-
-
-class TestLambertW:
-    @pytest.mark.parametrize("x", [-0.3, -0.05, -1e-4, -1.0 / math.e + 1e-6])
-    def test_against_scipy(self, x):
-        assert lambert_w_minus1(x) == pytest.approx(
-            lambertw(x, -1).real, rel=1e-12
-        )
-
-    @pytest.mark.parametrize("x", [0.0, 0.1, -1.0, -1.0 / math.e])
-    def test_domain(self, x):
-        with pytest.raises(InvalidInputError):
-            lambert_w_minus1(x)
 
 
 class TestEnergy:
