@@ -15,7 +15,6 @@ from cvbattery import (
     energy_linear,
     exceptional_point,
     linear_constants,
-    max_power,
     optimal_energy,
     optimal_time_energy,
     optimal_time_power,
@@ -63,7 +62,8 @@ def main():
     print("  g/gamma      t_P     asymptote       P(t_P)   asymptote")
     for g in (0.02, 0.05, 10.0, 50.0):
         p = LinearParams(omega_b=1.0, Omega=0.1, g=g, gamma=gamma)
-        t_p, p_tp = optimal_time_power(p), max_power(p)
+        t_p = optimal_time_power(p)
+        p_tp = energy_linear(t_p, p) / t_p  # max_power(p), without a second t_P solve
         if g < 0.25:
             t_ref = lc.A * gamma / (2.0 * g * g)
             p_ref = lc.C * 0.1**2 / gamma

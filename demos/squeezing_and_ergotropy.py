@@ -18,7 +18,6 @@ from cvbattery import (
     ergotropy_trajectory,
     evolve,
     exact_ergotropy,
-    reduced_battery_state,
     steady_energy_nonlinear,
     steady_variances,
 )
@@ -50,8 +49,7 @@ def main():
         print(f"  {traj.times[i]:5.1f} {energy[i]:10.4f} {erg[i]:10.4f}"
               f" {energy[i] - erg[i]:8.4f}")
 
-    rho_b = reduced_battery_state(traj.rhos[-1], cfg)
-    final_erg = exact_ergotropy(rho_b, p.omega_b)
+    final_erg = exact_ergotropy(traj.reduced_battery_states()[-1], p.omega_b)
     print()
     print(f"  final energy:    {energy[-1]:.5f}")
     print(f"  final ergotropy: {final_erg:.5f}")

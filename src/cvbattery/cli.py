@@ -406,9 +406,7 @@ def _figure_fig4(outdir, sweep_points=9, **_):
                 cfg = focksim.FockConfig(cutoff_a=8, cutoff_b=cut_b)
                 traj = focksim.evolve("nonlinear", p, cfg, t_end, 257)
                 m = metrics.compute_metrics(traj)
-                erg = focksim.exact_ergotropy(
-                    focksim.reduced_battery_state(traj.rhos[-1], cfg), p.omega_b
-                )
+                erg = focksim.exact_ergotropy(traj.reduced_battery_states()[-1], p.omega_b)
                 fh.write(",".join(_fmt(x) for x in (
                     float(r), m.energy[-1], erg, m.t_E, m.E_tE, m.t_P, m.P_tP,
                     cumulant.steady_energy_nonlinear(p),

@@ -119,16 +119,21 @@ def _liouvillian(H, gamma: float, c: FockConfig) -> sp.csr_matrix:
 class FockTrajectory:
     """Sampled density-matrix trajectory on the truncated product space.
 
-    ``states`` is the (n_samples, dim^2) stack of row-major vec(rho) that the
-    propagator returns; ``rhos`` views it as (n_samples, dim, dim).  Every
-    observable is read from the stack in one batched pass.
+    The propagator only advances the entries of vec(rho) that the
+    Liouvillian can reach from the initial state: ``sector`` holds their
+    sorted row-major indices and ``sector_states`` the (n_samples,
+    sector.size) stack of their values; every other entry is zero at all
+    times.  Every observable is read from that stack in one batched pass.
+    ``states`` (n_samples, dim^2) and ``rhos`` (n_samples, dim, dim) are the
+    full-space arrays, built anew on each access.
     """
 
     kind = "fock"
 
-    def __init__(self, times, states, params, config, coupling, cutoff_ok):
+    def __init__(self, times, sector_states, sector, params, config, coupling, cutoff_ok):
         self.times = np.asarray(times, dtype=float)
-        self.states = states
+        self.sector_states = sector_states
+        self.sector = sector
         self.params = params
         self.config = config
         self.coupling = coupling
@@ -140,6 +145,13 @@ class FockTrajectory:
         return self.params.omega_b
 
     @property
+    def states(self) -> np.ndarray:
+        c = self.config
+        full = np.zeros((len(self.times), (c.cutoff_a * c.cutoff_b) ** 2), dtype=complex)
+        full[:, self.sector] = self.sector_states
+        return full
+
+    @property
     def rhos(self) -> np.ndarray:
         dim = self.config.cutoff_a * self.config.cutoff_b
         return self.states.reshape(-1, dim, dim)
@@ -148,7 +160,8 @@ class FockTrajectory:
         """(n_samples, 6) complex <a>, <a'a>, <aa>, <b>, <b'b>, <bb>."""
         if self._moments is None:
             c = self.config
-            self._moments = self.states @ _moment_weights(c.cutoff_a, c.cutoff_b)
+            W = _moment_weights(c.cutoff_a, c.cutoff_b)[self.sector]
+            self._moments = self.sector_states @ W
         return self._moments
 
     def battery_population(self) -> np.ndarray:
@@ -156,9 +169,16 @@ class FockTrajectory:
 
     def reduced_battery_states(self) -> np.ndarray:
         """(n_samples, cutoff_b, cutoff_b) partial traces over the charger."""
-        c = self.config
-        r5 = self.states.reshape(-1, c.cutoff_a, c.cutoff_b, c.cutoff_a, c.cutoff_b)
-        return np.einsum("nijik->njk", r5)
+        ca, cb = self.config.cutoff_a, self.config.cutoff_b
+        i, j, i2, k = np.unravel_index(self.sector, (ca, cb, ca, cb))
+        out = np.zeros((len(self.times), cb * cb), dtype=complex)
+        # one charger level at a time: no gather larger than the output, and
+        # the sum runs over i in ascending order, as the einsum of
+        # reduced_battery_state does, so both give the same bits
+        for level in range(ca):
+            sel = np.flatnonzero((i == level) & (i2 == level))  # entries (i, j, i, k)
+            out[:, j[sel] * cb + k[sel]] += self.sector_states[:, sel]
+        return out.reshape(-1, cb, cb)
 
 
 def expectation(rho: np.ndarray, op) -> complex:
@@ -184,6 +204,25 @@ def vacuum_state(c: FockConfig) -> np.ndarray:
     return rho
 
 
+def _sector(L, v0: np.ndarray) -> np.ndarray:
+    """Sorted indices of the vec(rho) entries that exp(L t) v0 can make
+    nonzero: the support of v0 closed under the sparsity pattern of the CSR
+    matrix L.
+
+    The span of these entries is invariant under L, so propagating L
+    restricted to them is exact.  With nonlinear coupling the parity of the
+    battery number is conserved, and a vacuum start stays in the even-even
+    parity block; linear coupling from vacuum reaches the whole space.
+    """
+    pattern = sp.csr_matrix((np.ones(L.nnz), L.indices, L.indptr), shape=L.shape)
+    reached = v0 != 0
+    while True:
+        grown = reached | (pattern @ reached.astype(float) > 0)
+        if np.array_equal(grown, reached):
+            return np.flatnonzero(reached)
+        reached = grown
+
+
 def evolve(
     kind: str,
     p,
@@ -197,16 +236,30 @@ def evolve(
 
     The Liouvillian is time independent, so the evolution is computed as
     the exact action of the matrix exponential (Al-Mohy/Higham algorithm),
-    accurate to machine precision with no tolerance to set.  Starts from
-    the two-mode vacuum unless ``initial_state`` is given.  Sets
-    ``cutoff_ok = False`` when the top retained Fock level of either mode is
-    populated beyond ``TOP_LEVEL_TOL`` at any sample.
+    accurate to machine precision with no tolerance to set.  Only the
+    entries of vec(rho) reachable from the initial state are propagated
+    (see ``_sector``).  Starts from the two-mode vacuum unless
+    ``initial_state`` (a unit-trace dim x dim matrix) is given.  Sets
+    ``cutoff_ok = False`` when, at any sample, the highest level of either
+    mode that the propagated entries contain is populated beyond
+    ``TOP_LEVEL_TOL``.
     """
     if t_end <= 0:
         raise InvalidInputError("t_end must be positive")
+    dim = c.cutoff_a * c.cutoff_b
+    if initial_state is None:
+        rho0 = vacuum_state(c)
+    else:
+        rho0 = np.asarray(initial_state, dtype=complex)
+        if rho0.shape != (dim, dim):
+            raise InvalidInputError(f"initial state shape {rho0.shape} != ({dim}, {dim})")
+        if not abs(np.trace(rho0) - 1.0) <= 1e-8:
+            raise InvalidInputError("initial state must have unit trace")
     H = build_hamiltonian(kind, p, c)
-    L = _liouvillian(H, p.gamma, c).tocsc()
-    rho0 = vacuum_state(c) if initial_state is None else np.asarray(initial_state, dtype=complex)
+    L = _liouvillian(H, p.gamma, c)
+    v0 = rho0.reshape(-1)
+    sector = _sector(L, v0)
+    L = L[sector][:, sector].tocsc()
     t_grid = np.linspace(0.0, t_end, n_samples)
     # expm_multiply's norm estimator (onenormest) draws from numpy's global
     # RNG: give it a fixed stream so results do not depend on the caller's
@@ -215,7 +268,7 @@ def evolve(
     np.random.seed(0)
     try:
         out = expm_multiply(
-            L, rho0.reshape(-1), start=0.0, stop=t_end, num=n_samples, endpoint=True
+            L, v0[sector], start=0.0, stop=t_end, num=n_samples, endpoint=True
         )
     finally:
         np.random.set_state(rng_state)
@@ -223,13 +276,13 @@ def evolve(
     # stack-sized boolean temporary
     if not np.isfinite(out.sum()):
         raise ConvergenceError("Lindblad propagation produced non-finite values")
-    dim = c.cutoff_a * c.cutoff_b
-    pop = np.real(out[:, :: dim + 1]).reshape(-1, c.cutoff_a, c.cutoff_b)
-    cutoff_ok = not (
-        np.any(pop[:, -1, :].sum(axis=1) > TOP_LEVEL_TOL)
-        or np.any(pop[:, :, -1].sum(axis=1) > TOP_LEVEL_TOL)
+    diag = np.flatnonzero(sector % (dim + 1) == 0)  # sector columns of populations
+    pop = np.real(out[:, diag])
+    cutoff_ok = not any(
+        np.any(pop[:, level == level.max()].sum(axis=1) > TOP_LEVEL_TOL)
+        for level in np.divmod(sector[diag] // (dim + 1), c.cutoff_b)  # n_a, n_b
     )
-    traj = FockTrajectory(t_grid, out, p, c, kind, cutoff_ok)
+    traj = FockTrajectory(t_grid, out, sector, p, c, kind, cutoff_ok)
     if validate:
         for rho in traj.rhos:
             check_density_matrix(rho)
@@ -291,13 +344,15 @@ def converge_cutoffs(
     The battery cutoff doubles and the charger cutoff grows by 4 per round;
     convergence is declared when both observables change by less than
     ``convergence_rel`` (relative, with an absolute floor) between runs.
+    Of the two agreeing truncations the smaller is returned, unless its run
+    set ``cutoff_ok = False``; then the larger one is, if its run did not.
     """
 
     def final_observables(cfg):
         traj = evolve(kind, p, cfg, t_end, n_samples=17)
         energy = p.omega_b * float(traj.battery_population()[-1])
         erg = exact_ergotropy(traj.reduced_battery_states()[-1], p.omega_b)
-        return energy, erg
+        return energy, erg, traj.cutoff_ok
 
     if p.Omega == 0.0:
         return c
@@ -311,7 +366,11 @@ def converge_cutoffs(
             abs(cur[0] - prev[0]) / scale < c.convergence_rel
             and abs(cur[1] - prev[1]) / scale < c.convergence_rel
         ):
-            return cfg
+            # never return a truncation whose own run tripped the flag
+            if prev[2]:
+                return cfg
+            if cur[2]:
+                return nxt
         cfg, prev = nxt, cur
     raise ConvergenceError(
         f"cutoffs not converged after {max_doublings} doublings (last {cfg})"

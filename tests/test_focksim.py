@@ -1,11 +1,16 @@
 """Unit tests for the truncated-Fock exact route."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import expm_multiply
 
+from cvbattery import focksim
 from cvbattery.cumulant import NonlinearParams, steady_energy_nonlinear
 from cvbattery.errors import InvalidInputError, UnphysicalStateError
 from cvbattery.focksim import (
@@ -143,6 +148,24 @@ class TestEvolve:
         traj = evolve("nonlinear", p, tiny, 20.0, n_samples=21)
         assert not traj.cutoff_ok
 
+    def test_cutoff_flag_sees_top_reachable_battery_level(self):
+        # from vacuum the nonlinear model keeps n_b even, so at cutoff_b = 4
+        # level |3> stays empty while |2> fills and the energy is ~9% off
+        p = NonlinearParams(Omega=0.25, J=1.0, gamma=0.5)
+        traj = evolve("nonlinear", p, FockConfig(cutoff_a=8, cutoff_b=4), 40.0,
+                      n_samples=17)
+        pop_b = np.real(np.diagonal(traj.reduced_battery_states(), axis1=1, axis2=2))
+        assert np.max(pop_b[:, 3]) == 0.0
+        assert np.max(pop_b[:, 2]) > 1e-2
+        assert not traj.cutoff_ok
+
+    def test_initial_state_validated(self):
+        p = NonlinearParams(Omega=0.0, J=1.0, gamma=0.0)
+        with pytest.raises(InvalidInputError, match="shape"):
+            evolve("nonlinear", p, CFG, 1.0, initial_state=np.eye(5))
+        with pytest.raises(InvalidInputError, match="unit trace"):
+            evolve("nonlinear", p, CFG, 1.0, initial_state=np.zeros((36, 36)))
+
     def test_initial_state_honoured(self):
         dim = CFG.cutoff_a * CFG.cutoff_b
         rho0 = np.zeros((dim, dim), dtype=complex)
@@ -215,6 +238,83 @@ def test_batched_observables_match_per_sample(kind, p, rho0):
     if rho0 is not None:
         assert np.max(np.abs([m.b_mean for m in batched])) > 1e-3
         assert np.max(np.abs([m.a_mean for m in batched])) > 1e-3
+
+
+def _parity_projected(rho, c):
+    """rho restricted to even battery numbers on both sides, renormalized."""
+    even = np.arange(c.cutoff_a * c.cutoff_b) % c.cutoff_b % 2 == 0
+    out = np.where(np.outer(even, even), rho, 0.0)
+    return out / np.trace(out)
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    st.floats(0.01, 1.0),  # Omega
+    st.floats(0.2, 2.0),  # J
+    st.floats(0.05, 2.0),  # gamma
+    st.sampled_from(["vacuum", "even", "full"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_sector_propagation_matches_full_space(Omega, J, gamma, start, seed):
+    c = FockConfig(cutoff_a=3, cutoff_b=4)
+    dim = 12
+    p = NonlinearParams(Omega=Omega, J=J, gamma=gamma)
+    rho0 = {
+        "vacuum": vacuum_state(c),
+        "even": _parity_projected(_random_density_matrix(dim, seed), c),
+        "full": _random_density_matrix(dim, seed),
+    }[start]
+    traj = evolve("nonlinear", p, c, 3.0, n_samples=5, initial_state=rho0)
+    L = _liouvillian(build_hamiltonian("nonlinear", p, c), gamma, c).tocsc()
+    ref = expm_multiply(L, rho0.reshape(-1), start=0.0, stop=3.0, num=5, endpoint=True)
+    assert traj.sector.size == (dim**2 if start == "full" else (3 * 2) ** 2)
+    assert np.max(np.abs(traj.states - ref)) < 1e-10
+    ref_rhos = ref.reshape(-1, dim, dim)
+    fields = ("a_mean", "a_num", "a_sq", "b_mean", "b_num", "b_sq")
+    ref_moments = np.array([[getattr(extract_moments(r, c), f) for f in fields]
+                            for r in ref_rhos])
+    assert np.max(np.abs(traj.moments() - ref_moments)) < 1e-10
+    ref_reduced = np.array([reduced_battery_state(r, c) for r in ref_rhos])
+    reduced = traj.reduced_battery_states()
+    assert np.max(np.abs(reduced - ref_reduced)) < 1e-10
+    ref_erg = [exact_ergotropy(r, p.omega_b) for r in ref_reduced]
+    assert np.max(np.abs(exact_ergotropy(reduced, p.omega_b) - ref_erg)) < 1e-10
+
+
+@pytest.fixture
+def handed_to_propagator(monkeypatch):
+    """(rows, nnz) of every matrix evolve hands to expm_multiply."""
+    seen = []
+
+    def recording(L, *args, **kwargs):
+        seen.append((L.shape[0], L.nnz))
+        return expm_multiply(L, *args, **kwargs)
+
+    monkeypatch.setattr(focksim, "expm_multiply", recording)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "kind,p,cfg,rows,nnz",
+    [
+        # even battery parity on both sides of rho: a quarter of the space
+        ("nonlinear", NonlinearParams(Omega=0.25, J=1.0, gamma=0.5),
+         FockConfig(cutoff_a=8, cutoff_b=12), 2304, 18816),
+        # no conserved parity: the whole space
+        ("linear", LinearParams(Omega=0.1, g=0.5, gamma=1.0),
+         FockConfig(cutoff_a=6, cutoff_b=6), 1296, 10080),
+    ],
+)
+def test_liouvillian_handed_to_propagator(handed_to_propagator, kind, p, cfg, rows, nnz):
+    evolve(kind, p, cfg, 1.0, n_samples=3)
+    assert handed_to_propagator == [(rows, nnz)]
+
+
+def test_conserved_charge_start_stays_in_its_sector(handed_to_propagator):
+    # with Omega = gamma = 0, |1,0> only mixes with |0,2>: M = 2a'a + b'b = 2
+    conserved_charge_drift(NonlinearParams(Omega=0.0, J=1.0, gamma=0.0),
+                           FockConfig(4, 6), 5.0)
+    assert [rows for rows, _ in handed_to_propagator] == [4]
 
 
 class TestObservables:
@@ -312,6 +412,25 @@ class TestConvergence:
         traj = evolve("nonlinear", p, cfg, 80.0, n_samples=17)
         e = traj.battery_population()[-1]
         assert e == pytest.approx(steady_energy_nonlinear(p), rel=2e-2)
+
+    @pytest.mark.parametrize("small_ok,expected", [(True, FockConfig(8, 8)),
+                                                   (False, FockConfig(12, 16))])
+    def test_never_returns_a_tripped_truncation(self, monkeypatch, small_ok,
+                                                expected):
+        # every truncation gives the same final observables, so the first
+        # pair compared, (8,8) and (12,16), agrees
+        rho_b = np.diag([0.9, 0.1]).astype(complex)
+
+        def fake_evolve(kind, p, cfg, t_end, n_samples):
+            return SimpleNamespace(
+                battery_population=lambda: np.array([0.1]),
+                reduced_battery_states=lambda: rho_b[None],
+                cutoff_ok=small_ok or cfg.cutoff_b > 8,
+            )
+
+        monkeypatch.setattr(focksim, "evolve", fake_evolve)
+        p = NonlinearParams(Omega=0.25, J=1.0, gamma=0.5)
+        assert converge_cutoffs("nonlinear", p, FockConfig(8, 8), 10.0) == expected
 
     def test_conserved_charge_drift_small(self):
         p = NonlinearParams(Omega=0.0, J=1.0, gamma=0.0)
