@@ -17,7 +17,7 @@ from cvbattery import (
     linear_constants,
     optimal_energy,
     optimal_time_energy,
-    optimal_time_power,
+    power_optima,
     steady_energy_linear,
 )
 
@@ -60,10 +60,10 @@ def main():
           f"C = {lc.C:.6f}, D = {lc.D_strong:.6f}")
     print()
     print("  g/gamma      t_P     asymptote       P(t_P)   asymptote")
-    for g in (0.02, 0.05, 10.0, 50.0):
-        p = LinearParams(omega_b=1.0, Omega=0.1, g=g, gamma=gamma)
-        t_p = optimal_time_power(p)
-        p_tp = energy_linear(t_p, p) / t_p  # max_power(p), without a second t_P solve
+    gs = (0.02, 0.05, 10.0, 50.0)
+    t_ps, p_tps = power_optima(
+        [LinearParams(omega_b=1.0, Omega=0.1, g=g, gamma=gamma) for g in gs])
+    for g, t_p, p_tp in zip(gs, t_ps, p_tps):
         if g < 0.25:
             t_ref = lc.A * gamma / (2.0 * g * g)
             p_ref = lc.C * 0.1**2 / gamma

@@ -19,7 +19,6 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     CvBatteryError,
-    InconsistencyError,
     InvalidInputError,
     UnphysicalStateError,
     UnsupportedRegimeError,
@@ -53,6 +52,7 @@ from .linear import (
     optimal_energy,
     optimal_time_energy,
     optimal_time_power,
+    power_optima,
     renormalized_frequency,
     steady_energy_linear,
 )

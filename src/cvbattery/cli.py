@@ -152,7 +152,7 @@ def _route_series(sc: Scenario, route: str):
         if sc.coupling != "linear":
             return t, empty, None, "analytic route applies to linear coupling only"
         e = linear.energy_linear(t, p)
-        return t, _series_min_uncertainty(t, e), _linear_optima(p), None
+        return t, _series_min_uncertainty(t, e), _linear_optima([p])[0], None
     if route == "perturbation":
         if sc.coupling != "nonlinear":
             return t, empty, None, "perturbation route applies to nonlinear coupling only"
@@ -174,21 +174,31 @@ def _route_series(sc: Scenario, route: str):
     if route == "fock":
         cfg = focksim.FockConfig(cutoff_a=sc.cutoff_a, cutoff_b=sc.cutoff_b)
         traj = focksim.evolve(sc.coupling, p, cfg, sc.t_end, sc.n_samples)
+        _warn_if_truncated(traj)
         cols, summary = _series_from_traj(traj, "exact")
         return t, cols, summary, None
     raise ConfigError(f"unknown route {route!r}")
+
+
+def _warn_if_truncated(traj):
+    """One ``warning:`` line on stderr when a Fock run's top level filled."""
+    if not traj.cutoff_ok:
+        c, p = traj.config, traj.params
+        print(f"warning: Fock cutoffs ({c.cutoff_a},{c.cutoff_b}) too small at "
+              f"Omega={_fmt(p.Omega)}, gamma={_fmt(p.gamma)}: the top level holds "
+              f"more than {focksim.TOP_LEVEL_TOL:g} of the population", file=sys.stderr)
 
 
 def _optima(m):
     return (m.t_E, m.E_tE, m.t_P, m.P_tP)
 
 
-def _linear_optima(p):
-    """Closed-form (t_E, E_tE, t_P, P_tP), solving for t_P once; P_tP is the
-    expression ``linear.max_power`` evaluates."""
-    t_p = linear.optimal_time_power(p)
-    return (linear.optimal_time_energy(p), linear.optimal_energy(p),
-            t_p, linear.energy_linear(t_p, p) / t_p)
+def _linear_optima(ps):
+    """Closed-form (t_E, E_tE, t_P, P_tP) of each point of ``ps``, with every
+    t_P and P_tP from one ``linear.power_optima`` solve."""
+    t_p, p_tp = linear.power_optima(ps)
+    return [(linear.optimal_time_energy(p), linear.optimal_energy(p), float(tp), float(pp))
+            for p, tp, pp in zip(ps, t_p, p_tp)]
 
 
 def _series_min_uncertainty(t, energy):
@@ -331,10 +341,10 @@ def _figure_fig2(outdir, points_per_decade=200):
         fh.write(f"# linear battery optima vs g/gamma at gamma={_fmt(gamma)}, "
                  f"Omega={_fmt(0.1)}; exceptional point at g/gamma=0.25\n")
         fh.write("g_over_gamma,t_E,E_tE,t_P,P_tP\n")
-        for r in ratios:
-            pr = linear.LinearParams(omega_b=1.0, Omega=0.1, g=float(r) * gamma,
-                                     gamma=gamma)
-            fh.write(",".join(_fmt(x) for x in (float(r), *_linear_optima(pr))) + "\n")
+        ps = [linear.LinearParams(omega_b=1.0, Omega=0.1, g=float(r) * gamma, gamma=gamma)
+              for r in ratios]
+        for r, optima in zip(ratios, _linear_optima(ps)):
+            fh.write(",".join(_fmt(x) for x in (float(r), *optima)) + "\n")
     paths.append(path)
     return paths
 
@@ -405,6 +415,7 @@ def _figure_fig4(outdir, sweep_points=9, **_):
                 cut_b = 8 if r <= 0.12 else (16 if r <= 0.5 else 24)
                 cfg = focksim.FockConfig(cutoff_a=8, cutoff_b=cut_b)
                 traj = focksim.evolve("nonlinear", p, cfg, t_end, 257)
+                _warn_if_truncated(traj)
                 m = metrics.compute_metrics(traj)
                 erg = focksim.exact_ergotropy(traj.reduced_battery_states()[-1], p.omega_b)
                 fh.write(",".join(_fmt(x) for x in (

@@ -9,11 +9,6 @@ class InvalidInputError(CvBatteryError):
     """Non-finite or otherwise malformed input values."""
 
 
-class InconsistencyError(CvBatteryError):
-    """A quantity that should be real (or conserved) picked up a residue
-    beyond tolerance; indicates a numerical problem, not a user error."""
-
-
 class UnphysicalStateError(CvBatteryError):
     """State violates a physical bound (covariance determinant below one,
     negative eigenvalues, ...) beyond the floating-point guard band."""

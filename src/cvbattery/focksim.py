@@ -259,7 +259,7 @@ def evolve(
     L = _liouvillian(H, p.gamma, c)
     v0 = rho0.reshape(-1)
     sector = _sector(L, v0)
-    L = L[sector][:, sector].tocsc()
+    L = L[sector][:, sector]
     t_grid = np.linspace(0.0, t_end, n_samples)
     # expm_multiply's norm estimator (onenormest) draws from numpy's global
     # RNG: give it a fixed stream so results do not depend on the caller's

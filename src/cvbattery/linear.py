@@ -2,7 +2,8 @@
 
 The stored energy, optimal charging times and powers of the linear model are
 all analytic; the only numerics here are two scalar root solves (for the
-dimensionless constants) and a 1-D maximization of the charging power.
+dimensionless constants) and a 1-D maximization of the charging power,
+solved for many parameter points at once.
 """
 
 import math
@@ -12,7 +13,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import lambertw
 
-from .errors import ConvergenceError, InconsistencyError, InvalidInputError
+from .errors import ConvergenceError, InvalidInputError
 
 INF_TIME = math.inf  # marker for "maximum only reached asymptotically"
 
@@ -77,21 +78,37 @@ def renormalized_frequency(g: float, gamma: float) -> complex:
     return G
 
 
-def _envelope(t, g, gamma):
-    """[cos(Gt) + (gamma/4G) sin(Gt)] e^{-gamma t/4}, evaluated stably.
+_NEAR_EP, _UNDERDAMPED, _OVERDAMPED = range(3)
 
-    Above the exceptional point this is a damped oscillation; below it the
-    complex formula hides growing exponentials, so the expression is
-    rewritten as a sum of two decaying exponentials there.
+
+def _regime(g: float, gamma: float):
+    """disc = g^2 - (gamma/4)^2 and the branch of ``_envelope`` for one point.
+
+    Python floats throughout: ``**`` calls C ``pow``, whose last bit differs
+    from ``x*x`` in about 0.1% of values.
     """
     disc = g * g - (gamma / 4.0) ** 2
     if abs(disc) <= (1e-6 * g) ** 2:
+        return disc, _NEAR_EP
+    return disc, (_UNDERDAMPED if disc > 0 else _OVERDAMPED)
+
+
+def _envelope(t, gamma, disc, regime):
+    """[cos(Gt) + (gamma/4G) sin(Gt)] e^{-gamma t/4}, evaluated stably.
+
+    ``gamma`` and ``disc`` (from ``_regime``) are one point's floats, or
+    arrays matching ``t`` that hold one point per element, all of one
+    ``regime``.  Above the exceptional point this is a damped oscillation;
+    below it the complex formula hides growing exponentials, so the
+    expression is rewritten as a sum of two decaying exponentials there.
+    """
+    if regime == _NEAR_EP:
         # series limit sin(Gt)/G -> t(1 - (Gt)^2/6 + ...) near the EP
         z2 = disc * t * t
         return (1.0 - z2 / 2.0 + (gamma * t / 4.0) * (1.0 - z2 / 6.0)) * np.exp(
             -gamma * t / 4.0
         )
-    if disc > 0:
+    if regime == _UNDERDAMPED:
         G = np.sqrt(disc)
         return (np.cos(G * t) + gamma / (4.0 * G) * np.sin(G * t)) * np.exp(
             -gamma * t / 4.0
@@ -111,10 +128,8 @@ def energy_linear(t, p: LinearParams):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise InvalidInputError("time must be non-negative")
-    env = _envelope(t, p.g, p.gamma)
-    if np.any(np.abs(np.imag(np.asarray(env, dtype=complex))) > 1e-10):
-        raise InconsistencyError("imaginary residue in linear energy envelope")
-    val = p.omega_b * (p.Omega / p.g) ** 2 * (1.0 - np.real(env)) ** 2
+    env = _envelope(t, p.gamma, *_regime(p.g, p.gamma))
+    val = p.omega_b * (p.Omega / p.g) ** 2 * (1.0 - env) ** 2
     return float(val) if val.ndim == 0 else val
 
 
@@ -140,36 +155,12 @@ def optimal_energy(p: LinearParams) -> float:
     return base * (1.0 + math.exp(-math.pi * p.gamma / (4.0 * G))) ** 2
 
 
-def _golden_max(f, lo, hi, rel_tol=1e-10):
-    # Kept instead of scipy's bounded minimize_scalar: t_P sits on a flat
-    # maximum, and on fig2's 801-point grid the scipy optimiser moved t_P by
-    # up to 5e-8 relative, more than the 1e-8 to which figure outputs are
-    # compared with their references.
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > rel_tol * b:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def optimal_time_power(p: LinearParams) -> float:
-    """Charging time maximizing the power P(t) = E(t)/t.
-
-    Coarse 512-point log grid over (0, T_max] followed by golden-section
-    refinement; the earliest maximizer wins ties.
-    """
-    if p.Omega <= 0:
-        raise InvalidInputError("power optimum requires Omega > 0")
+def _power_bracket(p: LinearParams):
+    """Neighbours of the earliest maximizer of E(t)/t on a 512-point log
+    grid over (0, T_max]."""
     if p.gamma > 0:
         t_max = max(40.0 / p.gamma, 20.0 * math.pi / p.g)
     else:
@@ -181,13 +172,74 @@ def optimal_time_power(p: LinearParams) -> float:
     i = int(np.argmax(power >= best * (1.0 - 1e-9)))
     lo = grid[i - 1] if i > 0 else grid[0] * 1e-3
     hi = grid[i + 1] if i + 1 < grid.size else grid[-1]
-    t_p = _golden_max(lambda t: energy_linear(t, p) / t, lo, hi)
-    if not np.isfinite(t_p) or t_p <= 0:
+    return lo, hi
+
+
+def power_optima(ps):
+    """Optimal power times t_P and peak powers P(t_P) = E(t_P)/t_P of the
+    linear battery at each point of ``ps`` (a sequence of ``LinearParams``).
+
+    Each point's maximizer is bracketed on its own coarse 512-point log grid
+    over (0, T_max], where the earliest maximizer wins ties, and then refined
+    by golden-section search until (b - a) <= 1e-10 b.  The refinement moves
+    every point's bracket in lockstep: one array evaluation of E(t)/t per
+    iteration over the points not yet converged.
+
+    t_P sits on a flat maximum, where one ulp of P can move t_P by ~1e-8
+    relative, so the refinement reproduces the arithmetic of a scalar
+    ``energy_linear(t, p) / t`` bit for bit: the energy prefactor and
+    ``_regime`` are Python floats per point and the square of 1 - envelope
+    is C ``pow``, not ``x*x``.  Each point's bracket comes from its own grid
+    for the same reason (a batched grid rounds its endpoints differently),
+    and scipy's bounded ``minimize_scalar`` is not used: on fig2's 801-point
+    grid it moved t_P by up to 5e-8 relative.  Returns two float arrays of
+    len(ps).
+    """
+    ps = list(ps)
+    if any(p.Omega <= 0 for p in ps):
+        raise InvalidInputError("power optimum requires Omega > 0")
+    pref = np.array([p.omega_b * (p.Omega / p.g) ** 2 for p in ps])
+    gamma = np.array([p.gamma for p in ps])
+    disc, regime = np.array([_regime(p.g, p.gamma) for p in ps]).reshape(-1, 2).T
+
+    def power(t, idx):
+        env = np.empty_like(t)
+        for r in (_NEAR_EP, _UNDERDAMPED, _OVERDAMPED):
+            m = regime[idx] == r
+            if m.any():
+                j = idx[m]
+                env[m] = _envelope(t[m], gamma[j], disc[j], r)
+        sq = np.array([math.pow(x, 2.0) for x in (1.0 - env).tolist()])  # C pow
+        return pref[idx] * sq / t
+
+    a, b = np.array([_power_bracket(p) for p in ps]).reshape(-1, 2).T.copy()
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    every = np.arange(len(ps))
+    fc, fd = power(c, every), power(d, every)
+    act = every[(b - a) > 1e-10 * b]
+    while act.size:
+        left = fc[act] > fd[act]  # the maximum lies in [a, d]
+        lo, hi = act[left], act[~left]
+        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
+        c[lo] = b[lo] - _GOLDEN * (b[lo] - a[lo])
+        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
+        d[hi] = a[hi] + _GOLDEN * (b[hi] - a[hi])
+        f = power(np.where(left, c[act], d[act]), act)
+        fc[lo], fd[hi] = f[left], f[~left]
+        act = act[(b[act] - a[act]) > 1e-10 * b[act]]
+    t_p = 0.5 * (a + b)
+    if not (np.all(np.isfinite(t_p)) and np.all(t_p > 0)):
         raise ConvergenceError("power maximization failed")
-    return t_p
+    return t_p, power(t_p, every)
+
+
+def optimal_time_power(p: LinearParams) -> float:
+    """Charging time maximizing the power P(t) = E(t)/t: ``power_optima``
+    at the single point ``p``."""
+    return float(power_optima([p])[0][0])
 
 
 def max_power(p: LinearParams) -> float:
     """Peak charging power P(t_P) of the linear battery."""
-    t_p = optimal_time_power(p)
-    return energy_linear(t_p, p) / t_p
+    return float(power_optima([p])[1][0])

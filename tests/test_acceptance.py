@@ -24,7 +24,6 @@ from cvbattery.focksim import (
     converge_cutoffs,
     evolve,
     exact_ergotropy,
-    reduced_battery_state,
 )
 from cvbattery.gaussian import MomentState, covariance_determinant
 from cvbattery.linear import (
@@ -331,7 +330,7 @@ def test_criterion_9_fock_vs_cumulant(fock_nonlinear):
     e_fock = traj.omega_b * traj.battery_population()[-1]
     e_cum = steady_energy_nonlinear(p)
     energy_dev = abs(e_fock - e_cum) / e_cum
-    rho_b = reduced_battery_state(traj.rhos[-1], cfg)
+    rho_b = traj.reduced_battery_states()[-1]
     erg = exact_ergotropy(rho_b, traj.omega_b)
     erg_dev = abs(erg - e_fock) / e_fock
     checks = [
@@ -388,7 +387,7 @@ def test_criterion_11_sweep_rows():
             cut_a = 6 if r <= 0.12 else 8
             cfg = FockConfig(cutoff_a=cut_a, cutoff_b=cut_b)
             traj = evolve("nonlinear", p, cfg, 120.0 / gamma, n_samples=9)
-            rho_b = reduced_battery_state(traj.rhos[-1], cfg)
+            rho_b = traj.reduced_battery_states()[-1]
             energy = p.omega_b * traj.battery_population()[-1]
             row.append((energy, exact_ergotropy(rho_b, p.omega_b)))
         results[gamma] = row

@@ -208,20 +208,64 @@ class TestRunCommand:
         assert len(calls) == 3
 
     def test_one_power_optimum_solve_per_point(self, tmp_path, capsys, monkeypatch):
-        calls = []
-        optimal_time_power = linear.optimal_time_power
+        batches = []
+        power_optima = linear.power_optima
 
-        def counting(p):
-            calls.append(p)
-            return optimal_time_power(p)
+        def counting(ps):
+            batches.append(len(ps))
+            return power_optima(ps)
 
-        monkeypatch.setattr(linear, "optimal_time_power", counting)
+        monkeypatch.setattr(linear, "power_optima", counting)
         path = write_scenario(tmp_path, LINEAR_SCENARIO)
         assert cli.main(["run", str(path)]) == 0
-        assert len(calls) == 1
-        calls.clear()
+        assert batches == [1]
+        batches.clear()
         assert cli.main(["figure", "fig2", "--out", str(tmp_path)]) == 0
-        assert len(calls) == 801  # one per g/gamma point
+        assert batches == [801]  # one solve covering every g/gamma point
+
+    def test_truncated_fock_run_warns(self, tmp_path, capsys):
+        # from vacuum at cutoffs (8,4) level |2> of the battery fills to ~3e-2
+        text = NONLINEAR_SCENARIO + "cutoff_a = 8\ncutoff_b = 4\n"
+        path = write_scenario(tmp_path, text)
+        argv = ["run", str(path), "--route", "fock", "--samples", "33"]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err.count("\n") == 1
+        assert err.startswith("warning: Fock cutoffs (8,4) too small at Omega=0.25")
+        out_path = tmp_path / "run.csv"
+        assert cli.main(argv + ["--out", str(out_path)]) == 0
+        assert out_path.read_text() == out  # the warning stays out of the CSV
+        assert capsys.readouterr().err == err
+
+        sweep = text + ("sweep_param = Omega\nsweep_min = 0.05\nsweep_max = 0.25\n"
+                        "sweep_points = 2\n")
+        path = write_scenario(tmp_path, sweep, name="sweep.txt")
+        assert cli.main(["run", str(path), "--route", "fock", "--samples", "33"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2  # one line per sweep point
+        assert "at Omega=0.05," in err[0] and "at Omega=0.25," in err[1]
+
+    def test_converged_fock_run_does_not_warn(self, tmp_path, capsys):
+        text = NONLINEAR_SCENARIO + "cutoff_a = 8\ncutoff_b = 12\n"
+        path = write_scenario(tmp_path, text)
+        assert cli.main(["run", str(path), "--route", "fock", "--samples", "257"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_fig4_warns_per_truncated_point(self, tmp_path, capsys, monkeypatch):
+        evolve = focksim.evolve
+        ok = []
+
+        def small_evolve(kind, p, cfg, t_end, n_samples):
+            traj = evolve(kind, p, focksim.FockConfig(4, 6), 4.0, 9)
+            ok.append(traj.cutoff_ok)
+            return traj
+
+        monkeypatch.setattr(focksim, "evolve", small_evolve)
+        assert cli.main(["figure", "fig4", "--out", str(tmp_path)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert 0 < ok.count(False) < len(ok)
+        assert len(err) == ok.count(False)
+        assert all(l.startswith("warning: Fock cutoffs (4,6) too small") for l in err)
 
     def test_config_error_exit_code(self, tmp_path):
         path = write_scenario(tmp_path, "coupling = warp\n")

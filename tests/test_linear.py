@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.special import lambertw
@@ -19,6 +21,7 @@ from cvbattery.linear import (
     optimal_energy,
     optimal_time_energy,
     optimal_time_power,
+    power_optima,
     renormalized_frequency,
     steady_energy_linear,
 )
@@ -40,6 +43,85 @@ def moment_ode_energy(t_grid, p):
     sol = solve_ivp(rhs, (0.0, t_grid[-1]), [0.0] * 4, t_eval=t_grid,
                     rtol=1e-12, atol=1e-14, method="DOP853")
     return p.omega_b * (sol.y[2] ** 2 + sol.y[3] ** 2)
+
+
+def scalar_power_optimum(p):
+    """Oracle: the per-point solver that ``power_optima`` replaced, a
+    512-point log grid and a scalar golden-section search over
+    ``energy_linear(t, p) / t``.  Returns (t_P, P(t_P))."""
+    if p.gamma > 0:
+        t_max = max(40.0 / p.gamma, 20.0 * math.pi / p.g)
+    else:
+        t_max = 20.0 * math.pi / p.g
+    grid = np.logspace(math.log10(t_max) - 6.0, math.log10(t_max), 512)
+    power = energy_linear(grid, p) / grid
+    i = int(np.argmax(power >= np.max(power) * (1.0 - 1e-9)))
+    a = grid[i - 1] if i > 0 else grid[0] * 1e-3
+    b = grid[i + 1] if i + 1 < grid.size else grid[-1]
+
+    def f(t):
+        return energy_linear(t, p) / t
+
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - gr * (b - a)
+    d = a + gr * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > 1e-10 * b:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - gr * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + gr * (b - a)
+            fd = f(d)
+    t_p = 0.5 * (a + b)
+    return t_p, f(t_p)
+
+
+def assert_same_bits_as_scalar_solver(ps):
+    t_p, p_tp = power_optima(ps)
+    ref = np.array([scalar_power_optimum(p) for p in ps]).reshape(-1, 2)
+    np.testing.assert_array_equal(t_p, ref[:, 0])
+    np.testing.assert_array_equal(p_tp, ref[:, 1])
+
+
+@st.composite
+def linear_points(draw):
+    """One point in a named regime: lossless, below, near or above the
+    exceptional point g = gamma/4."""
+    regime = draw(st.sampled_from(["lossless", "overdamped", "near_ep", "underdamped"]))
+    gamma = 0.0 if regime == "lossless" else draw(st.floats(0.01, 5.0))
+    g_ep = gamma / 4.0
+    if regime == "lossless":
+        g = draw(st.floats(0.01, 100.0))
+    elif regime == "overdamped":
+        g = g_ep * draw(st.floats(0.01, 0.99))
+    elif regime == "near_ep":  # inside the series branch |g^2 - g_ep^2| <= (1e-6 g)^2
+        g = g_ep * (1.0 + draw(st.floats(-4e-13, 4e-13)))
+    else:
+        g = g_ep * draw(st.floats(1.01, 400.0))
+    return LinearParams(omega_b=draw(st.floats(0.2, 3.0)), Omega=draw(st.floats(1e-3, 2.0)),
+                        g=g, gamma=gamma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(linear_points(), min_size=1, max_size=8))
+def test_batched_power_optima_match_scalar_solver(ps):
+    assert_same_bits_as_scalar_solver(ps)
+
+
+def test_batched_power_optima_match_scalar_solver_on_fig2_grid():
+    ps = [LinearParams(omega_b=1.0, Omega=0.1, g=float(r), gamma=1.0)
+          for r in np.logspace(-2, 2, 801)]
+    assert_same_bits_as_scalar_solver(ps)
+
+
+def test_power_optima_reject_an_undriven_point():
+    ps = [LinearParams(Omega=0.1, g=g, gamma=1.0) for g in (0.1, 0.5, 2.0)]
+    ps.insert(1, LinearParams(Omega=0.0, g=1.0, gamma=1.0))
+    with pytest.raises(InvalidInputError):
+        power_optima(ps)
 
 
 class TestConstants:
