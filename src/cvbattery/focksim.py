@@ -5,6 +5,16 @@ is integrated as a linear ODE for the vectorized density matrix using a
 sparse Liouvillian.  Tensor layout: charger index slow, battery index fast,
 with row-major (C-order) vectorization, i.e. basis state |n_a, n_b> sits at
 flat index n_a * cutoff_b + n_b.
+
+The propagation runs in real arithmetic, in the frame R = V'rho V with
+V = diag(i^n_a).  Every Hamiltonian term of both couplings changes n_a by
+exactly one and has a real Fock-basis coefficient, and V'aV = i a, so V'HV is
+i times a real matrix and the commutator part of the Liouvillian turns real;
+the dissipator D[a] is unchanged, as V commutes with a'a and a R a' picks up
+i * (-i) = 1.  The change of frame multiplies the vec(rho) entry (k, l) by
+i^(n_a(l) - n_a(k)), and multiplying by a power of i is exact in floating
+point, so the frame costs no accuracy.  A real start (the vacuum, any
+Fock-diagonal state) gives a real R at all times.
 """
 
 from dataclasses import dataclass, replace
@@ -22,6 +32,7 @@ from .errors import (
 from .gaussian import MomentState
 
 TOP_LEVEL_TOL = 1e-6  # max allowed population of the highest retained level
+_POWERS_OF_I = np.array([1, 1j, -1, -1j])
 
 
 @dataclass(frozen=True)
@@ -59,14 +70,22 @@ def mode_operators(c: FockConfig):
 
 
 @lru_cache(maxsize=8)
-def _moment_weights(cutoff_a: int, cutoff_b: int) -> np.ndarray:
-    """Dense (dim^2, 6) matrix W with columns vec(O^T) for O = a, a'a, aa,
-    b, b'b, bb, so that vec(rho) @ W gives all six Tr(rho O) at once."""
+def _moment_weights(cutoff_a: int, cutoff_b: int):
+    """Real dense (dim^2, 6) matrix W and six powers of i f such that
+    (vec(R) @ W) * f gives Tr(rho O) for O = a, a'a, aa, b, b'b, bb at once.
+
+    Column j of W is vec(O^T).  O lowers n_a by a fixed s, so every entry
+    (k, l) it weights has the phase i^s in vec(rho) = phase * vec(R); that
+    common phase is f[j], and the weights themselves are real.
+    """
     a, b = _mode_operators(cutoff_a, cutoff_b)
-    ops = (a, a.conj().T @ a, a @ a, b, b.conj().T @ b, b @ b)
-    W = np.column_stack([op.T.toarray().reshape(-1) for op in ops])
+    ops = ((a, 1), (a.conj().T @ a, 0), (a @ a, 2),
+           (b, 0), (b.conj().T @ b, 0), (b @ b, 0))
+    W = np.column_stack([op.T.toarray().reshape(-1).real for op, _ in ops])
+    f = _POWERS_OF_I[[s for _, s in ops]]
     W.setflags(write=False)  # shared through the cache
-    return W
+    f.setflags(write=False)
+    return W, f
 
 
 def build_hamiltonian(kind: str, p, c: FockConfig) -> sp.csr_matrix:
@@ -122,18 +141,24 @@ class FockTrajectory:
     The propagator only advances the entries of vec(rho) that the
     Liouvillian can reach from the initial state: ``sector`` holds their
     sorted row-major indices and ``sector_states`` the (n_samples,
-    sector.size) stack of their values; every other entry is zero at all
-    times.  Every observable is read from that stack in one batched pass.
-    ``states`` (n_samples, dim^2) and ``rhos`` (n_samples, dim, dim) are the
-    full-space arrays, built anew on each access.
+    sector.size) stack of their values in the frame R = V'rho V (module
+    docstring); every other entry is zero at all times.  ``sector_states`` is
+    real for a real start such as the vacuum.  ``phase`` (powers of i, one per
+    sector entry) maps it back: vec(rho)[sector] = phase * sector_states.
+    Every observable is read from that stack in one batched pass without
+    leaving the frame.  ``states`` (n_samples, dim^2) and ``rhos``
+    (n_samples, dim, dim) are the full-space arrays of rho, built anew on
+    each access.
     """
 
     kind = "fock"
 
-    def __init__(self, times, sector_states, sector, params, config, coupling, cutoff_ok):
+    def __init__(self, times, sector_states, sector, phase, params, config, coupling,
+                 cutoff_ok):
         self.times = np.asarray(times, dtype=float)
         self.sector_states = sector_states
         self.sector = sector
+        self.phase = phase
         self.params = params
         self.config = config
         self.coupling = coupling
@@ -148,7 +173,7 @@ class FockTrajectory:
     def states(self) -> np.ndarray:
         c = self.config
         full = np.zeros((len(self.times), (c.cutoff_a * c.cutoff_b) ** 2), dtype=complex)
-        full[:, self.sector] = self.sector_states
+        full[:, self.sector] = self.sector_states * self.phase
         return full
 
     @property
@@ -157,21 +182,26 @@ class FockTrajectory:
         return self.states.reshape(-1, dim, dim)
 
     def moments(self) -> np.ndarray:
-        """(n_samples, 6) complex <a>, <a'a>, <aa>, <b>, <b'b>, <bb>."""
+        """(n_samples, 6) complex <a>, <a'a>, <aa>, <b>, <b'b>, <bb>, from
+        one product of the stack with real weights (see ``_moment_weights``),
+        so a real stack is never copied to complex."""
         if self._moments is None:
-            c = self.config
-            W = _moment_weights(c.cutoff_a, c.cutoff_b)[self.sector]
-            self._moments = self.sector_states @ W
+            W, f = _moment_weights(self.config.cutoff_a, self.config.cutoff_b)
+            self._moments = (self.sector_states @ W[self.sector]) * f
         return self._moments
 
     def battery_population(self) -> np.ndarray:
         return np.real(self.moments()[:, 4])
 
     def reduced_battery_states(self) -> np.ndarray:
-        """(n_samples, cutoff_b, cutoff_b) partial traces over the charger."""
+        """(n_samples, cutoff_b, cutoff_b) partial traces over the charger.
+
+        The summed entries (i, j, i, k) have equal n_a on both sides, hence
+        phase 1: they come straight from the stack, real for a real start.
+        """
         ca, cb = self.config.cutoff_a, self.config.cutoff_b
         i, j, i2, k = np.unravel_index(self.sector, (ca, cb, ca, cb))
-        out = np.zeros((len(self.times), cb * cb), dtype=complex)
+        out = np.zeros((len(self.times), cb * cb), dtype=self.sector_states.dtype)
         # one charger level at a time: no gather larger than the output, and
         # the sum runs over i in ascending order, as the einsum of
         # reduced_battery_state does, so both give the same bits
@@ -187,10 +217,11 @@ def expectation(rho: np.ndarray, op) -> complex:
 
 
 def check_density_matrix(rho: np.ndarray):
-    """Hermiticity / trace / positivity guards on a sampled state."""
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
+    """Hermiticity / trace / positivity guards on a state or a stack of them
+    (shape (..., d, d))."""
+    if np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))) > 1e-10:
         raise UnphysicalStateError("density matrix not Hermitian within 1e-10")
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
+    if np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0)) > 1e-8:
         raise UnphysicalStateError("density matrix trace deviates from 1")
     w = np.linalg.eigvalsh(rho)
     if w.min() < -1e-8:
@@ -223,6 +254,23 @@ def _sector(L, v0: np.ndarray) -> np.ndarray:
         reached = grown
 
 
+def _sector_liouvillian(kind: str, p, c: FockConfig, v0: np.ndarray):
+    """(L, sector, phase): the Liouvillian restricted to the sector that v0
+    reaches (see ``_sector``) and taken to the frame R = V'rho V, that is,
+    conj(phase) L phase entry by entry, where vec(rho)[sector] =
+    phase * vec(R)[sector].  Each factor is a power of i, so the entries are
+    exact; L keeps its complex dtype, and ``evolve`` checks that its
+    imaginary part is zero."""
+    L = _liouvillian(build_hamiltonian(kind, p, c), p.gamma, c)
+    sector = _sector(L, v0)
+    k, l = np.divmod(sector, c.cutoff_a * c.cutoff_b)
+    phase = _POWERS_OF_I[(k // c.cutoff_b - l // c.cutoff_b) % 4]  # i^(n_a(k) - n_a(l))
+    L = L[sector][:, sector]
+    rows = np.repeat(np.arange(sector.size), np.diff(L.indptr))
+    L.data *= phase.conj()[rows] * phase[L.indices]
+    return L, sector, phase
+
+
 def evolve(
     kind: str,
     p,
@@ -238,11 +286,20 @@ def evolve(
     the exact action of the matrix exponential (Al-Mohy/Higham algorithm),
     accurate to machine precision with no tolerance to set.  Only the
     entries of vec(rho) reachable from the initial state are propagated
-    (see ``_sector``).  Starts from the two-mode vacuum unless
-    ``initial_state`` (a unit-trace dim x dim matrix) is given.  Sets
+    (see ``_sector``), and they are propagated as R = V'rho V with
+    V = diag(i^n_a), where the Liouvillian is a real matrix (module
+    docstring): ``expm_multiply`` gets a float64 matrix, and a float64 start
+    vector when R0 is real, as for the vacuum or a Fock-diagonal state; a
+    complex start stays complex.  Raises if the Liouvillian is not real in
+    that frame, so there is no silent complex fallback.  Starts from the
+    two-mode vacuum unless ``initial_state`` (a dim x dim density matrix:
+    Hermitian, unit trace, no eigenvalue below -1e-8) is given.  Sets
     ``cutoff_ok = False`` when, at any sample, the highest level of either
     mode that the propagated entries contain is populated beyond
-    ``TOP_LEVEL_TOL``.
+    ``TOP_LEVEL_TOL``.  ``validate`` checks every sample with
+    ``check_density_matrix`` on the principal block of R that the sector's
+    kets span: rho vanishes outside it, and V is unitary, so that block is
+    Hermitian, of unit trace and positive exactly when rho is.
     """
     if t_end <= 0:
         raise InvalidInputError("t_end must be positive")
@@ -255,11 +312,17 @@ def evolve(
             raise InvalidInputError(f"initial state shape {rho0.shape} != ({dim}, {dim})")
         if not abs(np.trace(rho0) - 1.0) <= 1e-8:
             raise InvalidInputError("initial state must have unit trace")
-    H = build_hamiltonian(kind, p, c)
-    L = _liouvillian(H, p.gamma, c)
+        try:
+            check_density_matrix(rho0)
+        except UnphysicalStateError as err:
+            raise InvalidInputError(f"initial state: {err}") from None
     v0 = rho0.reshape(-1)
-    sector = _sector(L, v0)
-    L = L[sector][:, sector]
+    L, sector, phase = _sector_liouvillian(kind, p, c, v0)
+    if np.any(L.data.imag):
+        raise InvalidInputError(f"{kind} Liouvillian is not real in the i^n_a frame")
+    r0 = phase.conj() * v0[sector]  # exact: phase holds powers of i
+    if not np.any(r0.imag):
+        r0 = r0.real.copy()
     t_grid = np.linspace(0.0, t_end, n_samples)
     # expm_multiply's norm estimator (onenormest) draws from numpy's global
     # RNG: give it a fixed stream so results do not depend on the caller's
@@ -268,7 +331,7 @@ def evolve(
     np.random.seed(0)
     try:
         out = expm_multiply(
-            L, v0[sector], start=0.0, stop=t_end, num=n_samples, endpoint=True
+            L.real, r0, start=0.0, stop=t_end, num=n_samples, endpoint=True
         )
     finally:
         np.random.set_state(rng_state)
@@ -276,17 +339,20 @@ def evolve(
     # stack-sized boolean temporary
     if not np.isfinite(out.sum()):
         raise ConvergenceError("Lindblad propagation produced non-finite values")
-    diag = np.flatnonzero(sector % (dim + 1) == 0)  # sector columns of populations
+    kets, bras = np.divmod(sector, dim)
+    diag = np.flatnonzero(kets == bras)  # sector columns of populations (phase 1)
     pop = np.real(out[:, diag])
     cutoff_ok = not any(
         np.any(pop[:, level == level.max()].sum(axis=1) > TOP_LEVEL_TOL)
-        for level in np.divmod(sector[diag] // (dim + 1), c.cutoff_b)  # n_a, n_b
+        for level in np.divmod(kets[diag], c.cutoff_b)  # n_a, n_b
     )
-    traj = FockTrajectory(t_grid, out, sector, p, c, kind, cutoff_ok)
     if validate:
-        for rho in traj.rhos:
-            check_density_matrix(rho)
-    return traj
+        basis = np.union1d(kets, bras)
+        n = basis.size
+        block = np.zeros((n_samples, n * n), dtype=out.dtype)
+        block[:, np.searchsorted(basis, kets) * n + np.searchsorted(basis, bras)] = out
+        check_density_matrix(block.reshape(-1, n, n))
+    return FockTrajectory(t_grid, out, sector, phase, p, c, kind, cutoff_ok)
 
 
 def extract_moments(rho: np.ndarray, c: FockConfig, time: float = 0.0) -> MomentState:
@@ -316,9 +382,11 @@ def exact_ergotropy(rho_b: np.ndarray, omega_b: float):
     Eigenvalues sorted in descending order are paired with ascending Fock
     energies n * omega_b to form the passive energy.  ``rho_b`` is one
     reduced state (returns a float) or a stack of them with shape
-    (n, cutoff_b, cutoff_b) (returns an array of n values).
+    (n, cutoff_b, cutoff_b) (returns an array of n values).  Real input stays
+    real, so ``eigvalsh`` then works on real symmetric matrices.
     """
-    rho_b = np.asarray(rho_b, dtype=complex)
+    rho_b = np.asarray(rho_b)
+    rho_b = rho_b.astype(np.result_type(rho_b, float), copy=False)  # real stays real
     if np.max(np.abs(rho_b - rho_b.conj().swapaxes(-1, -2))) > 1e-8:
         raise UnphysicalStateError("reduced state not Hermitian")
     w = np.linalg.eigvalsh(rho_b)  # ascending along the last axis

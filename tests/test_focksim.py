@@ -29,6 +29,8 @@ from cvbattery.focksim import (
     reduced_battery_state,
     vacuum_state,
     _liouvillian,
+    _sector,
+    _sector_liouvillian,
 )
 from cvbattery.gaussian import MomentState
 from cvbattery.linear import LinearParams, energy_linear
@@ -165,6 +167,36 @@ class TestEvolve:
             evolve("nonlinear", p, CFG, 1.0, initial_state=np.eye(5))
         with pytest.raises(InvalidInputError, match="unit trace"):
             evolve("nonlinear", p, CFG, 1.0, initial_state=np.zeros((36, 36)))
+
+    def test_initial_state_must_be_a_density_matrix(self):
+        p = NonlinearParams(Omega=0.0, J=1.0, gamma=0.0)
+        skew = vacuum_state(CFG)
+        skew[0, 1] = 1e-6  # unit trace, not Hermitian
+        with pytest.raises(InvalidInputError, match="not Hermitian"):
+            evolve("nonlinear", p, CFG, 1.0, initial_state=skew)
+        negative = np.diag([1.2, -0.2] + [0.0] * 34).astype(complex)
+        with pytest.raises(InvalidInputError, match="negative eigenvalue"):
+            evolve("nonlinear", p, CFG, 1.0, initial_state=negative)
+
+    def test_validate_rejects_a_tampered_stack(self, monkeypatch):
+        p = NonlinearParams(Omega=0.25, J=1.0, gamma=0.5)
+        cfg = FockConfig(cutoff_a=4, cutoff_b=6)
+        dim = 24
+        sector = evolve("nonlinear", p, cfg, 2.0, n_samples=5, validate=True).sector
+        # populations of |0,0> and |1,0>
+        ground, excited = np.searchsorted(sector, [0, cfg.cutoff_b * (dim + 1)])
+        assert sector[excited] == cfg.cutoff_b * (dim + 1)
+
+        def tampered(*args, **kwargs):
+            out = expm_multiply(*args, **kwargs)
+            out[-1, ground] += 0.5  # the trace stays 1, <1,0|rho|1,0> < 0
+            out[-1, excited] -= 0.5
+            return out
+
+        monkeypatch.setattr(focksim, "expm_multiply", tampered)
+        evolve("nonlinear", p, cfg, 2.0, n_samples=5)  # unchecked
+        with pytest.raises(UnphysicalStateError, match="negative eigenvalue"):
+            evolve("nonlinear", p, cfg, 2.0, n_samples=5, validate=True)
 
     def test_initial_state_honoured(self):
         dim = CFG.cutoff_a * CFG.cutoff_b
@@ -317,6 +349,82 @@ def test_conserved_charge_start_stays_in_its_sector(handed_to_propagator):
     assert [rows for rows, _ in handed_to_propagator] == [4]
 
 
+@pytest.fixture
+def propagator_dtypes(monkeypatch):
+    """(matrix dtype, vector dtype) of every expm_multiply call of evolve."""
+    seen = []
+
+    def recording(L, v, *args, **kwargs):
+        seen.append((L.dtype, v.dtype))
+        return expm_multiply(L, v, *args, **kwargs)
+
+    monkeypatch.setattr(focksim, "expm_multiply", recording)
+    return seen
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from(["linear", "nonlinear"]),
+    st.floats(0.0, 2.0),  # Omega
+    st.floats(0.05, 2.0),  # g or J
+    st.floats(0.0, 2.0),  # gamma
+    st.integers(2, 5),  # cutoff_a
+    st.integers(2, 5),  # cutoff_b
+    st.sampled_from(["vacuum", "full"]),
+)
+def test_liouvillian_is_real_in_the_frame(kind, Omega, coupling, gamma, ca, cb, start):
+    c = FockConfig(cutoff_a=ca, cutoff_b=cb)
+    if kind == "linear":
+        p = LinearParams(Omega=Omega, g=coupling, gamma=gamma)
+    else:
+        p = NonlinearParams(Omega=Omega, J=coupling, gamma=gamma)
+    v0 = vacuum_state(c).reshape(-1) if start == "vacuum" else np.ones((ca * cb) ** 2)
+    L, sector, phase = _sector_liouvillian(kind, p, c, v0)
+    assert np.count_nonzero(L.data.imag) == 0
+    plain = _liouvillian(build_hamiltonian(kind, p, c), gamma, c)
+    assert np.array_equal(sector, _sector(plain, v0))
+    plain = plain[sector][:, sector]
+    assert L.shape == plain.shape and L.nnz == plain.nnz
+    # the frame multiplies each entry by a power of i, exactly
+    assert np.array_equal(np.abs(L.toarray()), np.abs(plain.toarray()))
+    assert set(np.unique(phase)) <= {1, 1j, -1, -1j}
+
+
+def test_real_starts_propagate_in_real_arithmetic(propagator_dtypes):
+    evolve("nonlinear", NonlinearParams(Omega=0.25, J=1.0, gamma=0.5), CFG, 1.0,
+           n_samples=3)
+    traj = evolve("linear", LinearParams(Omega=0.1, g=0.5, gamma=1.0), CFG, 1.0,
+                  n_samples=3)
+    assert traj.sector_states.dtype == np.float64
+    assert traj.reduced_battery_states().dtype == np.float64
+    # |1,0>, whose sector is {|1,0>, |0,2>} on both sides
+    conserved_charge_drift(NonlinearParams(Omega=0.0, J=1.0, gamma=0.0),
+                           FockConfig(4, 6), 5.0)
+    assert propagator_dtypes == [(np.float64, np.float64)] * 3
+
+
+def test_complex_start_stays_complex(propagator_dtypes):
+    rho0 = _random_density_matrix(36, 3)
+    traj = evolve("nonlinear", NonlinearParams(Omega=0.25, J=1.0, gamma=0.5), CFG,
+                  1.0, n_samples=3, initial_state=rho0)
+    assert propagator_dtypes == [(np.float64, np.complex128)]
+    assert np.array_equal(traj.states[0], rho0.reshape(-1))
+
+
+def test_liouvillian_not_real_in_the_frame_is_refused(monkeypatch):
+    # a battery detuning keeps n_a, so in the frame it stays imaginary
+    plain = focksim.build_hamiltonian
+
+    def detuned(kind, p, c):
+        _, b = mode_operators(c)
+        return plain(kind, p, c) + 0.3 * (b.conj().T @ b)
+
+    monkeypatch.setattr(focksim, "build_hamiltonian", detuned)
+    with pytest.raises(InvalidInputError, match="not real"):
+        evolve("nonlinear", NonlinearParams(Omega=0.25, J=1.0, gamma=0.5), CFG, 1.0,
+               n_samples=3)
+
+
 class TestObservables:
     def test_extract_moments_fock_state(self):
         dim = CFG.cutoff_a * CFG.cutoff_b
@@ -398,6 +506,33 @@ class TestErgotropy:
         negative = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
         with pytest.raises(UnphysicalStateError, match="negative eigenvalue"):
             exact_ergotropy(np.stack([negative, good]), 1.0)
+
+
+    def test_real_input_stays_real(self, monkeypatch):
+        p = NonlinearParams(Omega=0.25, J=1.0, gamma=0.5)
+        reduced = evolve("nonlinear", p, CFG, 6.0, n_samples=9).reduced_battery_states()
+        dtypes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a):
+            dtypes.append(a.dtype)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        real = exact_ergotropy(reduced, p.omega_b)
+        cast = exact_ergotropy(reduced.astype(complex), p.omega_b)
+        assert dtypes == [np.float64, np.complex128]
+        assert np.max(real) > 1e-3
+        assert np.max(np.abs(real - cast)) <= 1e-14
+
+    def test_real_input_is_checked(self):
+        good = np.diag([0.1, 0.2, 0.3, 0.4])
+        skew = good.copy()
+        skew[0, 1] = 0.1
+        with pytest.raises(UnphysicalStateError, match="not Hermitian"):
+            exact_ergotropy(np.stack([good, skew]), 1.0)
+        with pytest.raises(UnphysicalStateError, match="negative eigenvalue"):
+            exact_ergotropy(np.diag([1.2, -0.2, 0.0, 0.0]), 1.0)
 
 
 class TestConvergence:
