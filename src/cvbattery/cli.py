@@ -7,34 +7,49 @@ Subcommands:
 
 All computations are deterministic: the only random draws (the norm
 estimator inside the Fock propagator) use a fixed seed and leave numpy's
-global RNG state untouched; ``--seedless`` merely asserts that.  Exit codes: 0 success, 2 config error, 3 non-convergence.
+global RNG state untouched.  ``--seedless`` is accepted for compatibility
+and has no effect.  Exit codes: 0 success, 2 config error, 3 non-convergence.
 """
 
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.special import lambertw
 
 from . import cumulant, focksim, linear, metrics, perturbation
-from .errors import ConfigError, ConvergenceError, CvBatteryError, UnsupportedRegimeError
+from .errors import ConfigError, ConvergenceError, CvBatteryError
 from .gaussian import MomentState, quadrature_stats
 
 ROUTES = ("analytic", "cumulant", "perturbation", "fock", "all")
+# the one coupling a route applies to; routes not listed apply to both
+_ROUTE_COUPLING = {"analytic": "linear", "cumulant": "nonlinear", "perturbation": "nonlinear"}
+_FIELDS = ("energy", "power", "ergotropy", "var_x", "var_p", "det")
 
 
-def _fmt(x):
-    if x is None:
+def _cell(x):
+    """CSV cell: text as is, None or NaN empty, numbers to 15 digits."""
+    if isinstance(x, str):
+        return x
+    if x is None or x != x:
         return ""
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
-    return f"{x:.15g}"
+    return format(x, ".15g")
+
+
+def _write_csv(out, comments, header, rows):
+    """``# comment`` lines, the header and one line per row of cells."""
+    lines = [f"# {c}\n" for c in comments] + [",".join(header) + "\n"]
+    lines += [",".join(map(_cell, row)) + "\n" for row in rows]
+    out.write("".join(lines))
 
 
 @dataclass
 class Scenario:
+    """One scenario; every field is a scenario-file key, parsed by the
+    field's type."""
+
     coupling: str
     route: str = "all"
     omega_b: float = 1.0
@@ -46,7 +61,11 @@ class Scenario:
     n_samples: int = 512
     cutoff_a: int = 8
     cutoff_b: int = 8
-    sweep: dict = field(default=None)
+    sweep_param: str = None
+    sweep_min: float = None
+    sweep_max: float = None
+    sweep_points: int = None
+    sweep_scale: str = "linear"
 
     def params(self):
         if self.coupling == "linear":
@@ -57,12 +76,11 @@ class Scenario:
             omega_b=self.omega_b, Omega=self.Omega, J=self.J, gamma=self.gamma
         )
 
+    def times(self):
+        return np.linspace(0.0, self.t_end, self.n_samples)
 
-_FLOAT_KEYS = {
-    "omega_b", "Omega", "gamma", "g", "J", "t_end", "sweep_min", "sweep_max",
-}
-_INT_KEYS = {"n_samples", "cutoff_a", "cutoff_b", "sweep_points"}
-_STR_KEYS = {"coupling", "route", "sweep_param", "sweep_scale"}
+
+_KEYS = {f.name: f.type for f in fields(Scenario)}
 
 
 def parse_scenario(path) -> Scenario:
@@ -81,54 +99,37 @@ def parse_scenario(path) -> Scenario:
             raise ConfigError(f"expected key = value, got {stripped!r}", line=ln)
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
+        if key not in _KEYS:
+            raise ConfigError(f"unknown key {key!r}", line=ln)
         try:
-            if key in _FLOAT_KEYS:
-                raw[key] = float(value)
-            elif key in _INT_KEYS:
-                raw[key] = int(value)
-            elif key in _STR_KEYS:
-                raw[key] = value
-            else:
-                raise ConfigError(f"unknown key {key!r}", line=ln)
+            raw[key] = _KEYS[key](value)
         except ValueError:
             raise ConfigError(f"bad value for {key!r}: {value!r}", line=ln)
 
     if "coupling" not in raw:
         raise ConfigError("missing required key 'coupling'")
-    coupling = raw.pop("coupling")
-    if coupling not in ("linear", "nonlinear"):
-        raise ConfigError(f"coupling must be linear or nonlinear, got {coupling!r}")
-    sweep_keys = {k: raw.pop(k) for k in list(raw) if k.startswith("sweep_")}
-    sc = Scenario(coupling=coupling)
-    for k, v in raw.items():
-        setattr(sc, k, v)
+    sc = Scenario(**raw)
+    if sc.coupling not in ("linear", "nonlinear"):
+        raise ConfigError(f"coupling must be linear or nonlinear, got {sc.coupling!r}")
     if sc.route not in ROUTES:
         raise ConfigError(f"route must be one of {ROUTES}, got {sc.route!r}")
-    if coupling == "linear":
+    if sc.coupling == "linear":
         if sc.g is None or sc.J is not None:
             raise ConfigError("linear coupling requires g (and no J)")
     else:
         if sc.J is None or sc.g is not None:
             raise ConfigError("nonlinear coupling requires J (and no g)")
+    sweep_keys = {k for k in raw if k.startswith("sweep_")}
     if sweep_keys:
-        needed = {"sweep_param", "sweep_min", "sweep_max", "sweep_points"}
-        missing = needed - set(sweep_keys)
+        missing = {"sweep_param", "sweep_min", "sweep_max", "sweep_points"} - sweep_keys
         if missing:
             raise ConfigError(f"incomplete sweep block, missing {sorted(missing)}")
-        if sweep_keys["sweep_param"] not in ("Omega", "gamma", "g", "J", "omega_b"):
-            raise ConfigError(f"cannot sweep {sweep_keys['sweep_param']!r}")
-        if sweep_keys["sweep_points"] < 2:
+        if sc.sweep_param not in ("Omega", "gamma", "g", "J", "omega_b"):
+            raise ConfigError(f"cannot sweep {sc.sweep_param!r}")
+        if sc.sweep_points < 2:
             raise ConfigError("sweep needs at least 2 points")
-        scale = sweep_keys.get("sweep_scale", "linear")
-        if scale not in ("linear", "log"):
-            raise ConfigError(f"sweep_scale must be linear or log, got {scale!r}")
-        sc.sweep = {
-            "param": sweep_keys["sweep_param"],
-            "min": sweep_keys["sweep_min"],
-            "max": sweep_keys["sweep_max"],
-            "points": sweep_keys["sweep_points"],
-            "scale": scale,
-        }
+        if sc.sweep_scale not in ("linear", "log"):
+            raise ConfigError(f"sweep_scale must be linear or log, got {sc.sweep_scale!r}")
     try:
         sc.params()
     except CvBatteryError as exc:
@@ -137,46 +138,37 @@ def parse_scenario(path) -> Scenario:
 
 
 def _route_series(sc: Scenario, route: str):
-    """Evaluate one route once on the scenario grid.
+    """Evaluate one route once on the scenario grid ``sc.times()``.
 
-    Returns (t, cols, summary, note): the column group (energy, power,
+    Returns (cols, summary, note): the column group (energy, power,
     ergotropy, var_x, var_p, det), the (t_E, E_tE, t_P, P_tP) optima, and a
     note that is not None when the route does not apply (cols then holds
-    None columns and summary is None).
+    NaN columns and summary is None).
     """
-    t = np.linspace(0.0, sc.t_end, sc.n_samples)
+    t = sc.times()
     p = sc.params()
-    empty = dict.fromkeys(("energy", "power", "ergotropy", "var_x", "var_p", "det"))
-
+    only = _ROUTE_COUPLING.get(route, sc.coupling)
+    if only != sc.coupling:
+        note = f"{route} route applies to {only} coupling only"
+        return dict.fromkeys(_FIELDS, np.full_like(t, np.nan)), None, note
     if route == "analytic":
-        if sc.coupling != "linear":
-            return t, empty, None, "analytic route applies to linear coupling only"
         e = linear.energy_linear(t, p)
-        return t, _series_min_uncertainty(t, e), _linear_optima([p])[0], None
+        return _series_min_uncertainty(t, e), _linear_optima([p])[0], None
     if route == "perturbation":
-        if sc.coupling != "nonlinear":
-            return t, empty, None, "perturbation route applies to nonlinear coupling only"
-        try:
-            if p.gamma == 0.0:
-                e = perturbation.perturbative_energy(t, p, order=2)
-            else:
-                e = perturbation.weak_driving_energy(t, p)
-        except UnsupportedRegimeError as exc:
-            return t, empty, None, str(exc)
+        if p.gamma == 0.0:
+            e = perturbation.perturbative_energy(t, p, order=2)
+        else:
+            e = perturbation.weak_driving_energy(t, p)
         e = np.clip(e, 0.0, None)
-        return t, _series_min_uncertainty(t, e), _optima(metrics.energy_metrics(t, e)), None
+        return _series_min_uncertainty(t, e), _optima(metrics.energy_metrics(t, e)), None
     if route == "cumulant":
-        if sc.coupling != "nonlinear":
-            return t, empty, None, "cumulant route applies to nonlinear coupling only"
         traj = cumulant.integrate_cumulant(p, sc.t_end, sc.n_samples)
-        cols, summary = _series_from_traj(traj, "gaussian")
-        return t, cols, summary, None
+        return (*_series_from_traj(traj, "gaussian"), None)
     if route == "fock":
         cfg = focksim.FockConfig(cutoff_a=sc.cutoff_a, cutoff_b=sc.cutoff_b)
         traj = focksim.evolve(sc.coupling, p, cfg, sc.t_end, sc.n_samples)
         _warn_if_truncated(traj)
-        cols, summary = _series_from_traj(traj, "exact")
-        return t, cols, summary, None
+        return (*_series_from_traj(traj, "exact"), None)
     raise ConfigError(f"unknown route {route!r}")
 
 
@@ -185,7 +177,7 @@ def _warn_if_truncated(traj):
     if not traj.cutoff_ok:
         c, p = traj.config, traj.params
         print(f"warning: Fock cutoffs ({c.cutoff_a},{c.cutoff_b}) too small at "
-              f"Omega={_fmt(p.Omega)}, gamma={_fmt(p.gamma)}: the top level holds "
+              f"Omega={_cell(p.Omega)}, gamma={_cell(p.gamma)}: the top level holds "
               f"more than {focksim.TOP_LEVEL_TOL:g} of the population", file=sys.stderr)
 
 
@@ -229,127 +221,101 @@ def _series_from_traj(traj, ergo_route):
     return cols, _optima(m)
 
 
+def _sweep_point(sc: Scenario, route: str):
+    """(t_E, E_tE, t_P, P_tP, energy_ss, ergotropy_ss) of one route at one
+    point, the steady values read at ``t_end``; all None when the route does
+    not apply."""
+    cols, summary, note = _route_series(sc, route)
+    if note is not None:
+        return (None,) * 6
+    return (*summary, cols["energy"][-1], cols["ergotropy"][-1])
+
+
 def write_run_csv(sc: Scenario, out):
     """Emit the time-series (or sweep) CSV plus the optima summary block."""
-    routes = [sc.route] if sc.route != "all" else ["analytic", "cumulant",
-                                                   "perturbation", "fock"]
-    routes = [r for r in routes if r != "all"]
-    out.write(f"# coupling={sc.coupling} route={sc.route} omega_b={_fmt(sc.omega_b)} "
-              f"Omega={_fmt(sc.Omega)} gamma={_fmt(sc.gamma)} "
-              f"{'g=' + _fmt(sc.g) if sc.g is not None else 'J=' + _fmt(sc.J)} "
-              f"t_end={_fmt(sc.t_end)} n_samples={sc.n_samples}\n")
+    routes = [sc.route] if sc.route != "all" else ROUTES[:-1]
+    comments = [f"coupling={sc.coupling} route={sc.route} omega_b={_cell(sc.omega_b)} "
+                f"Omega={_cell(sc.Omega)} gamma={_cell(sc.gamma)} "
+                f"{'g=' + _cell(sc.g) if sc.g is not None else 'J=' + _cell(sc.J)} "
+                f"t_end={_cell(sc.t_end)} n_samples={sc.n_samples}"]
 
-    if sc.sweep is not None:
-        _write_sweep_csv(sc, out)
+    if sc.sweep_param is not None:
+        _write_sweep_csv(sc, out, comments)
         return
 
-    groups, summaries, notes = {}, {}, {}
-    t = None
-    for r in routes:
-        t, groups[r], summaries[r], note = _route_series(sc, r)
-        if note:
-            notes[r] = note
-    for r, note in notes.items():
-        out.write(f"# note: route {r}: {note}\n")
+    results = {r: _route_series(sc, r) for r in routes}
+    comments += [f"note: route {r}: {note}" for r, (_, _, note) in results.items() if note]
     suffix = (lambda r: "") if len(routes) == 1 else (lambda r: f"_{r}")
-    fields = ("energy", "power", "ergotropy", "var_x", "var_p", "det")
-    header = "t" + "".join(
-        "," + ",".join(f"{f}{suffix(r)}" for f in fields) for r in routes
-    )
-    out.write(header + "\n")
-    for i, ti in enumerate(t):
-        row = [_fmt(ti)]
-        for r in routes:
-            for f in fields:
-                col = groups[r][f]
-                v = None if col is None else col[i]
-                row.append("" if v is None or (isinstance(v, float) and math.isnan(v))
-                           else _fmt(float(v)))
-        out.write(",".join(row) + "\n")
-
+    header = ["t"] + [f"{f}{suffix(r)}" for r in routes for f in _FIELDS]
+    columns = [sc.times()] + [results[r][0][f] for r in routes for f in _FIELDS]
+    _write_csv(out, comments, header, np.column_stack(columns).tolist())
     out.write("\n")
-    out.write("route,t_E,E_tE,t_P,P_tP\n")
-    for r in routes:
-        s = summaries[r]
-        if s is None:
-            out.write(f"{r},,,,\n")
-        else:
-            out.write(f"{r}," + ",".join(_fmt(v) for v in s) + "\n")
+    _write_csv(out, [], ["route", "t_E", "E_tE", "t_P", "P_tP"],
+               [(r, *(results[r][1] or (None,) * 4)) for r in routes])
 
 
-def _write_sweep_csv(sc: Scenario, out):
-    sw = sc.sweep
-    if sw["scale"] == "log":
-        values = np.logspace(math.log10(sw["min"]), math.log10(sw["max"]), sw["points"])
+def _write_sweep_csv(sc: Scenario, out, comments):
+    param, lo, hi, n = sc.sweep_param, sc.sweep_min, sc.sweep_max, sc.sweep_points
+    if sc.sweep_scale == "log":
+        values = np.logspace(math.log10(lo), math.log10(hi), n)
     else:
-        values = np.linspace(sw["min"], sw["max"], sw["points"])
-    out.write(f"# sweep {sw['param']} {sw['scale']} over [{_fmt(sw['min'])}, "
-              f"{_fmt(sw['max'])}] with {sw['points']} points\n")
-    out.write(f"{sw['param']},t_E,E_tE,t_P,P_tP,energy_ss,ergotropy_ss\n")
+        values = np.linspace(lo, hi, n)
     route = sc.route if sc.route != "all" else (
         "analytic" if sc.coupling == "linear" else "cumulant")
-    for v in values:
-        point = Scenario(**{**sc.__dict__, "sweep": None})
-        setattr(point, sw["param"], float(v))
-        _, cols, s, note = _route_series(point, route)
-        if note is not None:
-            out.write(f"{_fmt(float(v))},,,,,,\n")
-            continue
-        e_ss = cols["energy"][-1]
-        erg_ss = cols["ergotropy"][-1]
-        out.write(",".join([_fmt(float(v))] + [_fmt(x) for x in s]
-                           + [_fmt(float(e_ss)), _fmt(float(erg_ss))]) + "\n")
+    rows = [(float(v), *_sweep_point(replace(sc, sweep_param=None, **{param: float(v)}), route))
+            for v in values]
+    comments = comments + [f"sweep {param} {sc.sweep_scale} over "
+                           f"[{_cell(lo)}, {_cell(hi)}] with {n} points"]
+    _write_csv(out, comments,
+               [param, "t_E", "E_tE", "t_P", "P_tP", "energy_ss", "ergotropy_ss"], rows)
 
 
 # ---------------------------------------------------------------------------
 # figure bundles
 
 
-def _figure_fig1c(outdir, points_per_decade=200):
-    ratios = np.logspace(-2, 2, 4 * points_per_decade + 1)
-    path = outdir / "fig1c_steady_variances.csv"
+def _figure_csv(outdir, name, comment, header, rows):
+    path = outdir / name
     with open(path, "w", newline="\n") as fh:
-        fh.write("# steady-state battery quadrature variances vs Omega/J (nonlinear)\n")
-        fh.write("Omega_over_J,var_x,var_p\n")
-        for r in ratios:
-            qs = cumulant.steady_variances(
-                cumulant.NonlinearParams(Omega=float(r), J=1.0)
-            )
-            fh.write(f"{_fmt(float(r))},{_fmt(qs.var_x)},{_fmt(qs.var_p)}\n")
-    return [path]
+        _write_csv(fh, [comment], header, rows)
+    return path
 
 
-def _figure_fig2(outdir, points_per_decade=200):
-    paths = []
+def _figure_fig1c(outdir):
+    rows = []
+    for r in np.logspace(-2, 2, 801):
+        qs = cumulant.steady_variances(cumulant.NonlinearParams(Omega=float(r), J=1.0))
+        rows.append((r, qs.var_x, qs.var_p))
+    return [_figure_csv(outdir, "fig1c_steady_variances.csv",
+                        "steady-state battery quadrature variances vs Omega/J (nonlinear)",
+                        ["Omega_over_J", "var_x", "var_p"], rows)]
+
+
+def _figure_fig2(outdir):
     gamma = 1.0
     # panel (a)+(d): time series at g = gamma/2
     p = linear.LinearParams(omega_b=1.0, Omega=0.1, g=0.5, gamma=gamma)
     t = np.linspace(0.0, 40.0 / gamma, 2001)
     e = linear.energy_linear(t, p)
-    path = outdir / "fig2_ad_timeseries.csv"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# linear battery, g=gamma/2, Omega=gamma/10, gamma={_fmt(gamma)}\n")
-        fh.write("t,energy,power\n")
-        for ti, ei in zip(t, e):
-            pw = "" if ti == 0 else _fmt(ei / ti)
-            fh.write(f"{_fmt(float(ti))},{_fmt(float(ei))},{pw}\n")
-    paths.append(path)
+    series = _figure_csv(
+        outdir, "fig2_ad_timeseries.csv",
+        f"linear battery, g=gamma/2, Omega=gamma/10, gamma={_cell(gamma)}",
+        ["t", "energy", "power"],
+        [(ti, ei, None if ti == 0 else ei / ti) for ti, ei in zip(t, e)])
     # panels (b, c, e, f): optima vs g/gamma
-    ratios = np.logspace(-2, 2, 4 * points_per_decade + 1)
-    path = outdir / "fig2_bcef_optima.csv"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# linear battery optima vs g/gamma at gamma={_fmt(gamma)}, "
-                 f"Omega={_fmt(0.1)}; exceptional point at g/gamma=0.25\n")
-        fh.write("g_over_gamma,t_E,E_tE,t_P,P_tP\n")
-        ps = [linear.LinearParams(omega_b=1.0, Omega=0.1, g=float(r) * gamma, gamma=gamma)
-              for r in ratios]
-        for r, optima in zip(ratios, _linear_optima(ps)):
-            fh.write(",".join(_fmt(x) for x in (float(r), *optima)) + "\n")
-    paths.append(path)
-    return paths
+    ratios = np.logspace(-2, 2, 801)
+    ps = [linear.LinearParams(omega_b=1.0, Omega=0.1, g=float(r) * gamma, gamma=gamma)
+          for r in ratios]
+    optima = _figure_csv(
+        outdir, "fig2_bcef_optima.csv",
+        f"linear battery optima vs g/gamma at gamma={_cell(gamma)}, "
+        f"Omega={_cell(0.1)}; exceptional point at g/gamma=0.25",
+        ["g_over_gamma", "t_E", "E_tE", "t_P", "P_tP"],
+        [(r, *o) for r, o in zip(ratios, _linear_optima(ps))])
+    return [series, optima]
 
 
-def _figure_fig3(outdir, **_):
+def _figure_fig3(outdir):
     paths = []
     J = 1.0
     # columns 1 (gamma = 0) and 2 (gamma = J/2), both at Omega = J/4
@@ -358,71 +324,54 @@ def _figure_fig3(outdir, **_):
         t_end = 10.0 if gamma == 0.0 else 40.0
         traj = cumulant.integrate_cumulant(p, t_end, 2001)
         t = traj.times
-        e_cum = traj.battery_population()
-        path = outdir / f"fig3_{tag}_timeseries.csv"
-        with open(path, "w", newline="\n") as fh:
-            fh.write(f"# nonlinear battery, Omega=J/4, gamma={_fmt(gamma)}, J=1\n")
-            if gamma == 0.0:
-                fh.write("t,energy_cumulant,energy_order0,energy_order1,energy_order2\n")
-                o0 = perturbation.perturbative_energy(t, p, 0)
-                o1 = perturbation.perturbative_energy(t, p, 1)
-                o2 = perturbation.perturbative_energy(t, p, 2)
-                for row in zip(t, e_cum, o0, o1, o2):
-                    fh.write(",".join(_fmt(float(x)) for x in row) + "\n")
-            else:
-                fh.write("t,energy_cumulant,energy_weak_driving\n")
-                wd = perturbation.weak_driving_energy(t, p)
-                for row in zip(t, e_cum, wd):
-                    fh.write(",".join(_fmt(float(x)) for x in row) + "\n")
-        paths.append(path)
+        if gamma == 0.0:
+            header = ["t", "energy_cumulant", "energy_order0", "energy_order1",
+                      "energy_order2"]
+            approx = [perturbation.perturbative_energy(t, p, k) for k in (0, 1, 2)]
+        else:
+            header = ["t", "energy_cumulant", "energy_weak_driving"]
+            approx = [perturbation.weak_driving_energy(t, p)]
+        paths.append(_figure_csv(
+            outdir, f"fig3_{tag}_timeseries.csv",
+            f"nonlinear battery, Omega=J/4, gamma={_cell(gamma)}, J=1", header,
+            zip(t, traj.battery_population(), *approx)))
     # column 3: moderate driving at gamma = J/2 for three drive amplitudes
-    path = outdir / "fig3_c_f_moderate.csv"
-    with open(path, "w", newline="\n") as fh:
-        fh.write("# nonlinear battery, gamma=J/2, cumulant route, three drives\n")
-        t = np.linspace(0.0, 40.0, 2001)
-        cols = {}
-        for om in (0.05, 0.25, 1.0):
-            p = cumulant.NonlinearParams(omega_b=1.0, Omega=om, J=J, gamma=0.5)
-            cols[om] = cumulant.integrate_cumulant(p, 40.0, 2001).battery_population()
-        fh.write("t," + ",".join(f"energy_Omega_{om}" for om in cols) + "\n")
-        for i, ti in enumerate(t):
-            fh.write(",".join([_fmt(float(ti))] +
-                              [_fmt(float(cols[om][i])) for om in cols]) + "\n")
-    paths.append(path)
+    drives = (0.05, 0.25, 1.0)
+    cols = [cumulant.integrate_cumulant(
+                cumulant.NonlinearParams(omega_b=1.0, Omega=om, J=J, gamma=0.5),
+                40.0, 2001).battery_population() for om in drives]
+    paths.append(_figure_csv(
+        outdir, "fig3_c_f_moderate.csv",
+        "nonlinear battery, gamma=J/2, cumulant route, three drives",
+        ["t"] + [f"energy_Omega_{om}" for om in drives],
+        zip(np.linspace(0.0, 40.0, 2001), *cols)))
     return paths
 
 
-def _figure_fig4(outdir, sweep_points=9, **_):
+def _figure_fig4(outdir):
     """Steady/optimal performance vs Omega/J for gamma = J/2 and gamma = 2J.
 
-    The exact route makes this the most expensive figure; the sweep grid is
-    deliberately coarse (``sweep_points`` log-spaced values per row).
+    Each row is one Fock point of the ``run`` sweep path (``_sweep_point``)
+    with cutoffs grown with the drive.  The exact route makes this the most
+    expensive figure, so the grid is coarse: 9 log-spaced values per row.
     """
     paths = []
-    J = 1.0
-    ratios = np.logspace(-2, 0, sweep_points)
     for tag, gamma in (("abc", 0.5), ("def", 2.0)):
-        path = outdir / f"fig4_{tag}_sweep.csv"
         t_end = max(120.0 / max(gamma, 0.1), 40.0)
-        with open(path, "w", newline="\n") as fh:
-            fh.write(f"# nonlinear battery sweep, gamma={_fmt(gamma)}, J=1, "
-                     f"fock route, t_end={_fmt(t_end)}\n")
-            fh.write("Omega_over_J,energy_ss,ergotropy_ss,t_E,E_tE,t_P,P_tP,"
-                     "energy_ss_cumulant\n")
-            for r in ratios:
-                p = cumulant.NonlinearParams(omega_b=1.0, Omega=float(r) * J,
-                                             J=J, gamma=gamma)
-                cut_b = 8 if r <= 0.12 else (16 if r <= 0.5 else 24)
-                cfg = focksim.FockConfig(cutoff_a=8, cutoff_b=cut_b)
-                traj = focksim.evolve("nonlinear", p, cfg, t_end, 257)
-                _warn_if_truncated(traj)
-                m = metrics.compute_metrics(traj)
-                erg = focksim.exact_ergotropy(traj.reduced_battery_states()[-1], p.omega_b)
-                fh.write(",".join(_fmt(x) for x in (
-                    float(r), m.energy[-1], erg, m.t_E, m.E_tE, m.t_P, m.P_tP,
-                    cumulant.steady_energy_nonlinear(p),
-                )) + "\n")
-        paths.append(path)
+        rows = []
+        for r in np.logspace(-2, 0, 9):
+            sc = Scenario(coupling="nonlinear", route="fock", Omega=float(r), gamma=gamma,
+                          J=1.0, t_end=t_end, n_samples=257, cutoff_a=8,
+                          cutoff_b=8 if r <= 0.12 else (16 if r <= 0.5 else 24))
+            t_e, e_te, t_p, p_tp, e_ss, erg_ss = _sweep_point(sc, "fock")
+            rows.append((r, e_ss, erg_ss, t_e, e_te, t_p, p_tp,
+                         cumulant.steady_energy_nonlinear(sc.params())))
+        paths.append(_figure_csv(
+            outdir, f"fig4_{tag}_sweep.csv",
+            f"nonlinear battery sweep, gamma={_cell(gamma)}, J=1, fock route, "
+            f"t_end={_cell(t_end)}",
+            ["Omega_over_J", "energy_ss", "ergotropy_ss", "t_E", "E_tE", "t_P", "P_tP",
+             "energy_ss_cumulant"], rows))
     return paths
 
 
@@ -465,16 +414,15 @@ def main(argv=None) -> int:
     p_run.add_argument("--samples", type=int, default=None)
     p_run.add_argument("--t-end", type=float, default=None)
     p_run.add_argument("--route", choices=ROUTES, default=None)
-    p_run.add_argument("--seedless", action="store_true",
-                       help="assert determinism (no run depends on RNG state)")
 
     p_fig = sub.add_parser("figure", help="emit figure-data CSV bundle")
     p_fig.add_argument("name", choices=sorted(FIGURES))
     p_fig.add_argument("--out", required=True, help="output directory")
-    p_fig.add_argument("--seedless", action="store_true")
 
     p_const = sub.add_parser("constants", help="print the dimensionless constants")
-    p_const.add_argument("--seedless", action="store_true")
+    for p in (p_run, p_fig, p_const):
+        p.add_argument("--seedless", action="store_true",
+                       help="no effect, kept for compatibility: every run is deterministic")
 
     args = parser.parse_args(argv)
 

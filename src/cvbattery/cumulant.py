@@ -17,6 +17,7 @@ from .errors import ConvergenceError, InvalidInputError
 from .gaussian import MomentState, QuadratureStats, covariance_determinant
 
 DET_DRIFT_TOL = 1e-8
+RTOL, ATOL = 1e-10, 1e-12  # integrator tolerances of the first attempt
 
 
 @dataclass(frozen=True)
@@ -103,18 +104,13 @@ class CumulantTrajectory:
         return covariance_determinant(MomentState.from_array(self.moments()))
 
 
-def integrate_cumulant(
-    p: NonlinearParams,
-    t_end: float,
-    n_samples: int = 256,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
-) -> CumulantTrajectory:
+def integrate_cumulant(p: NonlinearParams, t_end: float,
+                       n_samples: int = 256) -> CumulantTrajectory:
     """Integrate the cumulant equations from vacuum up to ``t_end``.
 
     Adaptive high-order Runge-Kutta with dense output on a uniform grid.
     If the conserved determinant drifts beyond ``DET_DRIFT_TOL`` the run is
-    repeated once with tolerances tightened by a factor of 100.
+    repeated once with ``RTOL``/``ATOL`` tightened by a factor of 100.
     """
     if t_end <= 0:
         raise InvalidInputError("t_end must be positive")
@@ -122,7 +118,7 @@ def integrate_cumulant(
         raise InvalidInputError("need at least 2 samples")
 
     t_grid = np.linspace(0.0, t_end, n_samples)
-    for attempt, (rt, at) in enumerate([(rel_tol, abs_tol), (rel_tol / 100, abs_tol / 100)]):
+    for attempt, (rt, at) in enumerate([(RTOL, ATOL), (RTOL / 100, ATOL / 100)]):
         sol = solve_ivp(
             cumulant_rhs,
             (0.0, t_end),

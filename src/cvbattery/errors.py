@@ -15,8 +15,8 @@ class UnphysicalStateError(CvBatteryError):
 
 
 class UnsupportedRegimeError(CvBatteryError):
-    """Parameters fall outside the regime where a closed-form route is
-    defined (e.g. overdamped weak-driving formula)."""
+    """Parameters fall outside the regime where an approximation is defined
+    (e.g. the dissipationless perturbation series at gamma > 0)."""
 
 
 class ConvergenceError(CvBatteryError):

@@ -32,16 +32,17 @@ from .errors import (
 from .gaussian import MomentState
 
 TOP_LEVEL_TOL = 1e-6  # max allowed population of the highest retained level
+CONVERGENCE_REL = 1e-4  # converge_cutoffs: relative change that counts as settled
+MAX_DOUBLINGS = 4  # converge_cutoffs: truncation growth rounds before giving up
 _POWERS_OF_I = np.array([1, 1j, -1, -1j])
 
 
 @dataclass(frozen=True)
 class FockConfig:
-    """Truncation and convergence controls for the exact route."""
+    """Truncation of the exact route."""
 
     cutoff_a: int = 8
     cutoff_b: int = 8
-    convergence_rel: float = 1e-4
 
     def __post_init__(self):
         if self.cutoff_a < 2 or self.cutoff_b < 2:
@@ -400,18 +401,13 @@ def exact_ergotropy(rho_b: np.ndarray, omega_b: float):
     return float(erg) if erg.ndim == 0 else erg
 
 
-def converge_cutoffs(
-    kind: str,
-    p,
-    c: FockConfig,
-    t_end: float,
-    max_doublings: int = 4,
-) -> FockConfig:
+def converge_cutoffs(kind: str, p, c: FockConfig, t_end: float) -> FockConfig:
     """Grow the truncation until final-time energy and ergotropy settle.
 
     The battery cutoff doubles and the charger cutoff grows by 4 per round;
     convergence is declared when both observables change by less than
-    ``convergence_rel`` (relative, with an absolute floor) between runs.
+    ``CONVERGENCE_REL`` (relative, with an absolute floor) between runs,
+    within ``MAX_DOUBLINGS`` rounds.
     Of the two agreeing truncations the smaller is returned, unless its run
     set ``cutoff_ok = False``; then the larger one is, if its run did not.
     """
@@ -426,13 +422,13 @@ def converge_cutoffs(
         return c
     prev = final_observables(c)
     cfg = c
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         nxt = replace(cfg, cutoff_a=cfg.cutoff_a + 4, cutoff_b=2 * cfg.cutoff_b)
         cur = final_observables(nxt)
         scale = max(abs(prev[0]), abs(cur[0]), 1e-12)
         if (
-            abs(cur[0] - prev[0]) / scale < c.convergence_rel
-            and abs(cur[1] - prev[1]) / scale < c.convergence_rel
+            abs(cur[0] - prev[0]) / scale < CONVERGENCE_REL
+            and abs(cur[1] - prev[1]) / scale < CONVERGENCE_REL
         ):
             # never return a truncation whose own run tripped the flag
             if prev[2]:
@@ -441,7 +437,7 @@ def converge_cutoffs(
                 return nxt
         cfg, prev = nxt, cur
     raise ConvergenceError(
-        f"cutoffs not converged after {max_doublings} doublings (last {cfg})"
+        f"cutoffs not converged after {MAX_DOUBLINGS} doublings (last {cfg})"
     )
 
 

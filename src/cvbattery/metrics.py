@@ -5,7 +5,7 @@ and ``omega_b``; the Gaussian ergotropy also reads ``moments()``.  The
 cumulant and the Fock trajectories expose all four.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ class BatteryMetrics:
     t_P: float
     P_tP: float
     asymptotic: bool = False  # True when the maximum sits at the final sample
-    ergotropy: np.ndarray = field(default=None)
 
 
 def _refine_max(t, y):
@@ -53,12 +52,10 @@ def _refine_max(t, y):
     return float(t_star), float(max(y_star, y1)), asym
 
 
-def compute_metrics(traj, omega_b: float = None) -> BatteryMetrics:
+def compute_metrics(traj) -> BatteryMetrics:
     """Energy, power and their optima from a sampled trajectory."""
-    if omega_b is None:
-        omega_b = traj.omega_b
     return energy_metrics(
-        traj.times, omega_b * np.asarray(traj.battery_population(), dtype=float)
+        traj.times, traj.omega_b * np.asarray(traj.battery_population(), dtype=float)
     )
 
 
@@ -83,15 +80,14 @@ def energy_metrics(times, energy) -> BatteryMetrics:
     )
 
 
-def ergotropy_trajectory(traj, route: str, omega_b: float = None) -> np.ndarray:
+def ergotropy_trajectory(traj, route: str) -> np.ndarray:
     """Per-sample ergotropy along a trajectory.
 
     route="gaussian" uses the covariance-determinant passive energy and
     needs moment data; route="exact" diagonalizes the reduced battery state
     and needs density matrices.
     """
-    if omega_b is None:
-        omega_b = traj.omega_b
+    omega_b = traj.omega_b
     if route == "gaussian":
         if not hasattr(traj, "moments"):
             raise InvalidInputError("gaussian route needs moment data")

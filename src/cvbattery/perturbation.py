@@ -13,6 +13,7 @@ from scipy.optimize import brentq
 
 from .cumulant import NonlinearParams
 from .errors import InvalidInputError, UnsupportedRegimeError
+from .linear import LinearParams, energy_linear, optimal_energy, optimal_time_energy
 
 
 @dataclass(frozen=True)
@@ -90,52 +91,37 @@ def perturbative_energy(t, p: NonlinearParams, order: int = 2):
     return float(out) if out.ndim == 0 else out
 
 
-def _characteristic_frequency(p: NonlinearParams) -> float:
-    k2 = 2.0 * p.J**2 - (p.gamma / 4.0) ** 2
-    if k2 <= 0.0:
-        raise UnsupportedRegimeError(
-            "overdamped regime 2J^2 <= (gamma/4)^2 has no weak-driving closed form"
-        )
-    return math.sqrt(k2)
+def _linear_equivalent(p: NonlinearParams) -> LinearParams:
+    """The linear battery that the nonlinear one reduces to at leading order
+    in Omega/J: from vacuum b'b'|0> = sqrt(2)|2>, so pair creation is a
+    linear exchange with g = sqrt(2) J between the charger and a mode whose
+    quantum, one pair, carries 2 omega_b."""
+    return LinearParams(omega_b=2.0 * p.omega_b, Omega=p.Omega,
+                        g=math.sqrt(2.0) * p.J, gamma=p.gamma)
 
 
 def weak_driving_energy(t, p: NonlinearParams):
-    """Damped weak-driving energy, leading order in Omega/J.
+    """Damped weak-driving energy, leading order in Omega/J: the linear
+    energy ``energy_linear`` of ``_linear_equivalent(p)``,
 
-    E = omega_b (Omega/J)^2 {1 - 2F e^{-gamma t/4} + G e^{-gamma t/2}} with
-    oscillation frequency K = sqrt(2J^2 - (gamma/4)^2).
+    E = omega_b (Omega/J)^2 {1 - [cos(Kt) + (gamma/4K) sin(Kt)] e^{-gamma t/4}}^2
+    with K = sqrt(2J^2 - (gamma/4)^2), valid in every damping regime.
     """
-    K = _characteristic_frequency(p)
-    t = np.asarray(t, dtype=float)
-    F = np.cos(K * t) + p.gamma / (4.0 * K) * np.sin(K * t)
-    G = (
-        p.J**2 / K**2
-        + (1.0 - p.J**2 / K**2) * np.cos(2.0 * K * t)
-        + p.gamma / (4.0 * K) * np.sin(2.0 * K * t)
-    )
-    out = (
-        p.omega_b
-        * (p.Omega / p.J) ** 2
-        * (1.0 - 2.0 * F * np.exp(-p.gamma * t / 4.0) + G * np.exp(-p.gamma * t / 2.0))
-    )
-    return float(out) if out.ndim == 0 else out
+    return energy_linear(t, _linear_equivalent(p))
 
 
 def approx_optima_nonlinear(p: NonlinearParams):
     """Weak-driving estimates (t_E, E(t_E), t_P, P(t_P)).
 
-    t_E = pi/K with the peak energy omega_b (Omega/J)^2 (1 + e^{-pi gamma/4K})^2;
+    t_E and E(t_E) are the closed-form optima of ``_linear_equivalent(p)``:
+    pi/K with the peak energy omega_b (Omega/J)^2 (1 + e^{-pi gamma/4K})^2
+    (t_E infinite, E(t_E) the steady energy, in the overdamped regime);
     t_P keeps its dissipationless value sqrt(2) alpha / J and the peak power
     acquires an exponential damping factor.
     """
-    K = _characteristic_frequency(p)
+    q = _linear_equivalent(p)
+    t_e, e_te = optimal_time_energy(q), optimal_energy(q)
     alpha = perturbation_constants().alpha
-    t_e = math.pi / K
-    e_te = (
-        p.omega_b
-        * (p.Omega / p.J) ** 2
-        * (1.0 + math.exp(-math.pi * p.gamma / (4.0 * K))) ** 2
-    )
     t_p = math.sqrt(2.0) * alpha / p.J
     p_tp = (
         p.omega_b

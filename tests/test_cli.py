@@ -1,6 +1,7 @@
 """Unit tests for the command line interface."""
 
 import csv
+import dataclasses
 import io
 import math
 
@@ -80,6 +81,28 @@ class TestParseScenario:
         text = NONLINEAR_SCENARIO + "sweep_param = Omega\n"
         with pytest.raises(ConfigError):
             cli.parse_scenario(write_scenario(tmp_path, text))
+
+    def test_sweep_scale_alone_is_incomplete(self, tmp_path):
+        # sweep_scale has a default, but setting it still opens a sweep block
+        text = NONLINEAR_SCENARIO + "sweep_scale = log\n"
+        with pytest.raises(ConfigError, match="incomplete sweep block"):
+            cli.parse_scenario(write_scenario(tmp_path, text))
+
+    @pytest.mark.parametrize("coupling,strength", [("linear", "g"), ("nonlinear", "J")])
+    def test_every_field_is_a_typed_key(self, tmp_path, coupling, strength):
+        values = dict(coupling=coupling, route="fock", omega_b=1.5, Omega=0.2,
+                      gamma=0.25, t_end=7.5, n_samples=33, cutoff_a=5,
+                      cutoff_b=7, sweep_param="gamma", sweep_min=0.5,
+                      sweep_max=2.0, sweep_points=4, sweep_scale="log")
+        values[strength] = 0.75
+        other = {"g", "J"} - {strength}
+        assert set(values) == {f.name for f in dataclasses.fields(cli.Scenario)} - other
+        text = "".join(f"{k} = {v}\n" for k, v in values.items())
+        sc = cli.parse_scenario(write_scenario(tmp_path, text))
+        for key, value in values.items():
+            got = getattr(sc, key)
+            assert got == value and type(got) is type(value), key
+        assert getattr(sc, other.pop()) is None
 
     @pytest.mark.parametrize("key", ["fock_rel_tol", "fock_abs_tol"])
     def test_removed_fock_tolerance_keys(self, tmp_path, capsys, key):
@@ -266,6 +289,32 @@ class TestRunCommand:
         assert 0 < ok.count(False) < len(ok)
         assert len(err) == ok.count(False)
         assert all(l.startswith("warning: Fock cutoffs (4,6) too small") for l in err)
+
+    def test_fig4_row_is_the_fock_sweep_row(self, tmp_path, capsys, monkeypatch):
+        # fig4 evaluates each point on the run sweep path; with a small
+        # patched evolve (which ignores the cutoffs) both must give the same
+        # cells at the same Omega/J
+        evolve = focksim.evolve
+        monkeypatch.setattr(focksim, "evolve", lambda kind, p, cfg, t_end, n_samples:
+                            evolve(kind, p, focksim.FockConfig(4, 6), 4.0, 9))
+        assert cli.main(["figure", "fig4", "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "fig4_abc_sweep.csv") as fh:
+            fig = [r for r in csv.reader(fh) if not r[0].startswith("#")]
+        text = ("coupling = nonlinear\nroute = fock\nJ = 1.0\ngamma = 0.5\n"
+                "sweep_param = Omega\nsweep_min = 0.01\nsweep_max = 1.0\n"
+                "sweep_points = 9\nsweep_scale = log\n")
+        capsys.readouterr()
+        assert cli.main(["run", str(write_scenario(tmp_path, text))]) == 0
+        sweep = [r for r in csv.reader(io.StringIO(capsys.readouterr().out))
+                 if not r[0].startswith("#")]
+        cols = ["t_E", "E_tE", "t_P", "P_tP"]
+        fig_rows = [[r[fig[0].index(c)] for c in ["Omega_over_J", "energy_ss",
+                                                 "ergotropy_ss"] + cols] for r in fig[1:]]
+        sweep_rows = [[r[sweep[0].index(c)] for c in ["Omega", "energy_ss",
+                                                     "ergotropy_ss"] + cols]
+                      for r in sweep[1:]]
+        assert len(fig_rows) == 9
+        assert fig_rows == sweep_rows
 
     def test_config_error_exit_code(self, tmp_path):
         path = write_scenario(tmp_path, "coupling = warp\n")

@@ -15,11 +15,10 @@ from cvbattery.metrics import compute_metrics, ergotropy_trajectory
 class FakeTrajectory:
     """Minimal duck-typed trajectory."""
 
-    omega_b = 1.0
-
-    def __init__(self, t, nb):
+    def __init__(self, t, nb, omega_b=1.0):
         self.times = np.asarray(t, dtype=float)
         self._nb = np.asarray(nb, dtype=float)
+        self.omega_b = omega_b
 
     def battery_population(self):
         return self._nb
@@ -72,7 +71,7 @@ class TestComputeMetrics:
     def test_omega_b_override(self):
         t = np.linspace(0.0, 4.0, 41)
         e = np.clip(1.0 - (t - 2.0) ** 2, 0.0, None)
-        m = compute_metrics(FakeTrajectory(t, e), omega_b=3.0)
+        m = compute_metrics(FakeTrajectory(t, e, omega_b=3.0))
         assert m.E_tE == pytest.approx(3.0, abs=1e-9)
 
     def test_grid_validated(self):

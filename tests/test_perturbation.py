@@ -6,9 +6,15 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from cvbattery.cumulant import NonlinearParams, integrate_cumulant
+from cvbattery.cumulant import NonlinearParams, integrate_cumulant, steady_energy_nonlinear
 from cvbattery.errors import InvalidInputError, UnsupportedRegimeError
-from cvbattery.linear import linear_constants
+from cvbattery.linear import (
+    LinearParams,
+    energy_linear,
+    linear_constants,
+    optimal_energy,
+    optimal_time_energy,
+)
 from cvbattery.perturbation import (
     approx_optima_nonlinear,
     perturbation_constants,
@@ -111,9 +117,28 @@ class TestWeakDriving:
         steady = p.omega_b * (p.Omega / p.J) ** 2
         assert np.max(np.abs(got - ref)) < 2e-3 * steady
 
-    def test_overdamped_rejected(self):
-        with pytest.raises(UnsupportedRegimeError):
-            weak_driving_energy(1.0, NonlinearParams(Omega=0.05, J=1.0, gamma=6.0))
+    def test_overdamped_tracks_cumulant(self):
+        # 2J^2 < (gamma/4)^2: the closed form is the overdamped linear battery,
+        # off the cumulant curve by its next order, ~(Omega/J)^2 of the steady
+        # energy, which halving the drive divides by 4
+        errs = []
+        for Omega in (0.002, 0.001):
+            p = NonlinearParams(Omega=Omega, J=0.1, gamma=2.0)
+            traj = integrate_cumulant(p, 400.0, 401)
+            got = weak_driving_energy(traj.times, p)
+            errs.append(np.max(np.abs(got - traj.battery_population()))
+                        / steady_energy_nonlinear(p))
+        assert errs[0] < 1e-3
+        assert errs[1] / errs[0] == pytest.approx(0.25, rel=0.05)
+
+    def test_is_linear_battery_at_sqrt2_j(self):
+        p = NonlinearParams(omega_b=1.3, Omega=0.05, J=0.7, gamma=0.5)
+        q = LinearParams(omega_b=2.0 * p.omega_b, Omega=p.Omega,
+                         g=math.sqrt(2.0) * p.J, gamma=p.gamma)
+        t = np.linspace(0.0, 30.0, 61)
+        assert np.array_equal(weak_driving_energy(t, p), energy_linear(t, q))
+        t_e, e_te, _, _ = approx_optima_nonlinear(p)
+        assert (t_e, e_te) == (optimal_time_energy(q), optimal_energy(q))
 
 
 class TestApproxOptima:
