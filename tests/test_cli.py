@@ -332,6 +332,15 @@ class TestRunCommand:
         monkeypatch.setattr(cli, "write_run_csv", boom)
         assert cli.main(["run", str(path)]) == 3
 
+    @pytest.mark.parametrize("override", [False, True])
+    def test_fock_run_with_one_sample_exit_code(self, tmp_path, capsys, override):
+        text = NONLINEAR_SCENARIO.replace("route = cumulant", "route = fock")
+        if not override:
+            text = text.replace("n_samples = 101", "n_samples = 1")
+        argv = ["run", str(write_scenario(tmp_path, text))]
+        assert cli.main(argv + (["--samples", "1"] if override else [])) == 3
+        assert capsys.readouterr().err == "error: need at least 2 samples\n"
+
 
 class TestFigureCommand:
     def test_fig1c(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Static checks on the package source: no unused import and no private
-module-level name that nothing references."""
+"""Static checks on the package source: no unused import, no private
+module-level name that nothing references, and no import from scipy's private
+modules beyond the one the Fock propagator needs."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,44 @@ def test_every_private_name_is_referenced():
     unused = [f"{mod}:{name}" for mod, tree in trees.items()
               for name in _private_definitions(tree) if name not in used]
     assert unused == []
+
+
+# The one import from scipy's private modules: focksim's propagator takes its
+# degree and step count from scipy, and tests/test_focksim.py pins the result
+# bit for bit to scipy's per-sample branch.
+ALLOWED_PRIVATE_SCIPY = {
+    ("focksim.py", "scipy.sparse.linalg._expm_multiply", "LazyOperatorNormInfo"),
+    ("focksim.py", "scipy.sparse.linalg._expm_multiply", "_fragment_3_1"),
+}
+
+
+def _private_scipy_imports(path):
+    """(file, module, name) of every import from a private scipy module."""
+    out = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            found = [(node.module, a.name) for a in node.names]
+        elif isinstance(node, ast.Import):
+            found = [(a.name, None) for a in node.names]
+        else:
+            continue
+        out += [(path.name, module, name) for module, name in found
+                if module.split(".")[0] == "scipy"
+                and any(part.startswith("_") for part in module.split("."))]
+    return out
+
+
+def test_no_private_scipy_import_but_the_propagators():
+    found = [imp for path in MODULES for imp in _private_scipy_imports(path)]
+    assert [imp for imp in found if imp not in ALLOWED_PRIVATE_SCIPY] == []
+
+
+def test_private_scipy_import_check_sees_both_forms(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import scipy.sparse._sputils\n"
+                    "from scipy.linalg._decomp_qr import qr\n"
+                    "from scipy.sparse.linalg import expm_multiply\n")
+    assert _private_scipy_imports(path) == [
+        ("mod.py", "scipy.sparse._sputils", None),
+        ("mod.py", "scipy.linalg._decomp_qr", "qr"),
+    ]
