@@ -457,10 +457,10 @@ def _seeded(propagate, A, b, **kwargs):
         np.random.set_state(state)
 
 
-def _scipy_per_sample_branch(A, b, *, start, stop, num, endpoint=True):
+def _scipy_per_sample_branch(A, b, *, start, stop, num):
     """scipy's expm_multiply on its per-sample branch, which scipy takes by
     itself only when the sample count is at most its step count."""
-    assert start == 0.0 and endpoint
+    assert start == 0.0
     mu = A.trace() / float(A.shape[0])
     A = A - mu * em._ident_like(A)
     X = np.empty((num, b.size), dtype=np.result_type(A.dtype, b.dtype, float))
@@ -496,7 +496,7 @@ class TestPropagator:
     def test_bit_identical_to_scipys_per_sample_branch(self, p, cfg, rho0, t_end, num,
                                                         oracle):
         A, r0 = _sector_problem("nonlinear", p, cfg, _fock_state(cfg, *rho0))
-        kwargs = dict(start=0.0, stop=t_end, num=num, endpoint=True)
+        kwargs = dict(start=0.0, stop=t_end, num=num)
         out = _seeded(focksim.expm_multiply, A, r0, **kwargs)
         assert np.array_equal(out, _seeded(oracle, A, r0, **kwargs))
         traj = evolve("nonlinear", p, cfg, t_end, n_samples=num,
@@ -534,7 +534,7 @@ class TestPropagator:
         A, r0 = _sector_problem(kind, p, c, rho0)
         assert A.dtype == np.float64 and r0.dtype == (complex if start == "complex"
                                                       else float)
-        kwargs = dict(start=0.0, stop=t_end, num=num, endpoint=True)
+        kwargs = dict(start=0.0, stop=t_end, num=num)
         out = _seeded(focksim.expm_multiply, A, r0, **kwargs)
         assert np.array_equal(out, _seeded(_scipy_per_sample_branch, A, r0, **kwargs))
         # Where the sample count exceeds its step count, scipy shares Taylor
