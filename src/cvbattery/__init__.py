@@ -30,7 +30,6 @@ from .focksim import (
     evolve,
     exact_ergotropy,
     extract_moments,
-    lindblad_rhs,
     reduced_battery_state,
 )
 from .gaussian import (

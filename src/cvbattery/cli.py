@@ -113,28 +113,44 @@ def parse_scenario(path) -> Scenario:
         raise ConfigError(f"coupling must be linear or nonlinear, got {sc.coupling!r}")
     if sc.route not in ROUTES:
         raise ConfigError(f"route must be one of {ROUTES}, got {sc.route!r}")
-    if sc.coupling == "linear":
-        if sc.g is None or sc.J is not None:
-            raise ConfigError("linear coupling requires g (and no J)")
-    else:
-        if sc.J is None or sc.g is not None:
-            raise ConfigError("nonlinear coupling requires J (and no g)")
+    strength, other = ("g", "J") if sc.coupling == "linear" else ("J", "g")
+    if getattr(sc, strength) is None or getattr(sc, other) is not None:
+        raise ConfigError(f"{sc.coupling} coupling requires {strength} (and no {other})")
+    try:
+        sc.params()
+    except CvBatteryError as exc:
+        raise ConfigError(str(exc))
     sweep_keys = {k for k in raw if k.startswith("sweep_")}
     if sweep_keys:
         missing = {"sweep_param", "sweep_min", "sweep_max", "sweep_points"} - sweep_keys
         if missing:
             raise ConfigError(f"incomplete sweep block, missing {sorted(missing)}")
-        if sc.sweep_param not in ("Omega", "gamma", "g", "J", "omega_b"):
-            raise ConfigError(f"cannot sweep {sc.sweep_param!r}")
+        if sc.sweep_param not in ("Omega", "gamma", "omega_b", strength):
+            raise ConfigError(f"cannot sweep {sc.sweep_param!r} with {sc.coupling} coupling")
         if sc.sweep_points < 2:
             raise ConfigError("sweep needs at least 2 points")
         if sc.sweep_scale not in ("linear", "log"):
             raise ConfigError(f"sweep_scale must be linear or log, got {sc.sweep_scale!r}")
-    try:
-        sc.params()
-    except CvBatteryError as exc:
-        raise ConfigError(str(exc))
+        if sc.sweep_scale == "log" and not (sc.sweep_min > 0 and sc.sweep_max > 0):
+            raise ConfigError("a log sweep needs positive sweep_min and sweep_max")
+        for value, point in _sweep_points(sc):
+            try:
+                point.params()
+            except CvBatteryError as exc:
+                raise ConfigError(f"sweep point {sc.sweep_param} = {value:g}: {exc}")
     return sc
+
+
+def _sweep_points(sc: Scenario):
+    """(value, scenario) of each sweep point: ``sc`` without its sweep and
+    with the swept key set to the value."""
+    lo, hi, n = sc.sweep_min, sc.sweep_max, sc.sweep_points
+    if sc.sweep_scale == "log":
+        values = np.logspace(math.log10(lo), math.log10(hi), n)
+    else:
+        values = np.linspace(lo, hi, n)
+    return [(float(v), replace(sc, sweep_param=None, **{sc.sweep_param: float(v)}))
+            for v in values]
 
 
 def _route_series(sc: Scenario, route: str):
@@ -256,14 +272,9 @@ def write_run_csv(sc: Scenario, out):
 
 def _write_sweep_csv(sc: Scenario, out, comments):
     param, lo, hi, n = sc.sweep_param, sc.sweep_min, sc.sweep_max, sc.sweep_points
-    if sc.sweep_scale == "log":
-        values = np.logspace(math.log10(lo), math.log10(hi), n)
-    else:
-        values = np.linspace(lo, hi, n)
     route = sc.route if sc.route != "all" else (
         "analytic" if sc.coupling == "linear" else "cumulant")
-    rows = [(float(v), *_sweep_point(replace(sc, sweep_param=None, **{param: float(v)}), route))
-            for v in values]
+    rows = [(value, *_sweep_point(point, route)) for value, point in _sweep_points(sc)]
     comments = comments + [f"sweep {param} {sc.sweep_scale} over "
                            f"[{_cell(lo)}, {_cell(hi)}] with {n} points"]
     _write_csv(out, comments,

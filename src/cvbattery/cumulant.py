@@ -73,8 +73,6 @@ class CumulantTrajectory:
     component order of :func:`cumulant_rhs`.
     """
 
-    kind = "cumulant"
-
     def __init__(self, times, states, params):
         self.times = np.asarray(times, dtype=float)
         self.states = np.asarray(states, dtype=float)
@@ -149,7 +147,7 @@ def steady_state_nonlinear(p: NonlinearParams) -> MomentState:
     """Fixed point of the cumulant equations (gamma-independent)."""
     r = 2.0 * p.Omega / p.J
     n_b = (math.sqrt(1.0 + r * r) - 1.0) / 2.0
-    return MomentState(b_num=n_b, b_sq=-p.Omega / p.J, time=math.inf)
+    return MomentState(b_num=n_b, b_sq=-p.Omega / p.J)
 
 
 def steady_energy_nonlinear(p: NonlinearParams) -> float:

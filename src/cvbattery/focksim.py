@@ -61,6 +61,9 @@ def expm_multiply(A, B, *, start, stop, num) -> np.ndarray:
     only when the bound ||F_0||_inf + sum of the term norms lets the stopping
     test pass.  Rounding keeps the computed ||F||_inf far below twice that
     bound, so the factor 2 below never skips a test that would have passed.
+    scipy's norm estimates draw from numpy's global RNG; they run on a fixed
+    stream (seed 0), so the result does not depend on the caller's RNG
+    state, and that state is left as it was.
     """
     if num < 2:
         raise ValueError("need at least 2 samples")
@@ -76,7 +79,12 @@ def expm_multiply(A, B, *, start, stop, num) -> np.ndarray:
     t = samples[-1] - samples[0]
     norm_info = LazyOperatorNormInfo(t * A, A_1_norm=t * abs(A).sum(axis=0).max(), ell=2,
                                      scale=1.0 / (num - 1))
-    m_star, s = _fragment_3_1(norm_info, 1, _UNIT_ROUNDOFF, ell=2)
+    rng_state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        m_star, s = _fragment_3_1(norm_info, 1, _UNIT_ROUNDOFF, ell=2)
+    finally:
+        np.random.set_state(rng_state)
     if s == 0:  # ||h A||_1 is zero or underflows: exp(h A) is the identity
         m_star, s = 0, 1
     eta = np.exp(h * mu / float(s))
@@ -122,23 +130,19 @@ def destroy(n: int) -> sp.csr_matrix:
 
 
 @lru_cache(maxsize=8)
-def _mode_operators(cutoff_a: int, cutoff_b: int):
-    a = sp.kron(destroy(cutoff_a), sp.identity(cutoff_b), format="csr")
-    b = sp.kron(sp.identity(cutoff_a), destroy(cutoff_b), format="csr")
-    return a, b
-
-
 def mode_operators(c: FockConfig):
     """Two-mode annihilation operators (a, b) on the product space.
 
-    Cached per cutoff pair; the returned matrices are shared, so callers
+    Cached per truncation; the returned matrices are shared, so callers
     must not modify them in place.
     """
-    return _mode_operators(c.cutoff_a, c.cutoff_b)
+    a = sp.kron(destroy(c.cutoff_a), sp.identity(c.cutoff_b), format="csr")
+    b = sp.kron(sp.identity(c.cutoff_a), destroy(c.cutoff_b), format="csr")
+    return a, b
 
 
 @lru_cache(maxsize=8)
-def _moment_weights(cutoff_a: int, cutoff_b: int):
+def _moment_weights(c: FockConfig):
     """Real sparse (dim^2, 6) CSC matrix W and six powers of i f such that
     (vec(R) @ W[:, j]) * f[j] is Tr(rho O) for O = a, a'a, aa, b, b'b, bb.
 
@@ -147,7 +151,7 @@ def _moment_weights(cutoff_a: int, cutoff_b: int):
     common phase is f[j], and the weights themselves are real.  Shared
     through the cache: callers must not modify W or f in place.
     """
-    a, b = _mode_operators(cutoff_a, cutoff_b)
+    a, b = mode_operators(c)
     ops = ((a, 1), (a.conj().T @ a, 0), (a @ a, 2),
            (b, 0), (b.conj().T @ b, 0), (b @ b, 0))
     W = sp.hstack([op.T.reshape((-1, 1)).real for op, _ in ops], format="csc")
@@ -171,19 +175,6 @@ def build_hamiltonian(kind: str, p, c: FockConfig) -> sp.csr_matrix:
     else:
         raise InvalidInputError(f"unknown coupling kind {kind!r}")
     return (coupling + p.Omega * (ad + a)).tocsr()
-
-
-def lindblad_rhs(rho: np.ndarray, H, gamma: float, c: FockConfig) -> np.ndarray:
-    """i[rho, H] + (gamma/2)(2 a rho a' - a'a rho - rho a'a)."""
-    dim = c.cutoff_a * c.cutoff_b
-    if rho.shape != (dim, dim):
-        raise InvalidInputError(f"density matrix shape {rho.shape} != ({dim}, {dim})")
-    a, _ = mode_operators(c)
-    ad = a.conj().T
-    n_a = ad @ a
-    drho = 1j * (rho @ H - H @ rho)
-    drho += gamma / 2.0 * (2.0 * (a @ rho @ ad) - n_a @ rho - rho @ n_a)
-    return np.asarray(drho)
 
 
 def _liouvillian(H, gamma: float, c: FockConfig) -> sp.csr_matrix:
@@ -219,17 +210,13 @@ class FockTrajectory:
     each access.
     """
 
-    kind = "fock"
-
-    def __init__(self, times, sector_states, sector, phase, params, config, coupling,
-                 cutoff_ok):
+    def __init__(self, times, sector_states, sector, phase, params, config, cutoff_ok):
         self.times = np.asarray(times, dtype=float)
         self.sector_states = sector_states
         self.sector = sector
         self.phase = phase
         self.params = params
         self.config = config
-        self.coupling = coupling
         self.cutoff_ok = bool(cutoff_ok)
         self._moments = None
 
@@ -254,7 +241,7 @@ class FockTrajectory:
         product of the stack with the sparse real weights of
         ``_moment_weights``, so a real stack is never copied to complex."""
         if self._moments is None:
-            W, f = _moment_weights(self.config.cutoff_a, self.config.cutoff_b)
+            W, f = _moment_weights(self.config)
             W = W[self.sector]
             # gather the few stack columns that any moment weights (165 of
             # 2304 at (8,12)) first: scipy copies a product's dense operand
@@ -289,16 +276,23 @@ def expectation(rho: np.ndarray, op) -> complex:
     return complex((op.multiply(rho.T)).sum())
 
 
-def check_density_matrix(rho: np.ndarray):
-    """Hermiticity / trace / positivity guards on a state or a stack of them
-    (shape (..., d, d))."""
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """The package's one test of a physical state, on one matrix or a stack
+    of them (shape (..., d, d)): every entry finite, Hermitian within 1e-10,
+    unit trace within 1e-8 and no eigenvalue below -1e-8.  Raises
+    ``UnphysicalStateError`` on the first test that fails, else returns the
+    eigenvalues it computed, ascending along the last axis (real input gets
+    the real symmetric solver)."""
+    if not np.isfinite(rho).all():
+        raise UnphysicalStateError("density matrix has non-finite entries")
     if np.max(np.abs(rho - rho.conj().swapaxes(-1, -2))) > 1e-10:
         raise UnphysicalStateError("density matrix not Hermitian within 1e-10")
     if np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0)) > 1e-8:
-        raise UnphysicalStateError("density matrix trace deviates from 1")
+        raise UnphysicalStateError("density matrix does not have unit trace within 1e-8")
     w = np.linalg.eigvalsh(rho)
     if w.min() < -1e-8:
         raise UnphysicalStateError(f"negative eigenvalue {w.min():.2e}")
+    return w
 
 
 def vacuum_state(c: FockConfig) -> np.ndarray:
@@ -359,22 +353,23 @@ def evolve(
     the exact action of the matrix exponential by ``expm_multiply``, this
     module's Al-Mohy/Higham propagator, which advances each sample from the
     one before by Taylor-series sub-steps, accurate to machine precision
-    with no tolerance to set.  Only the
-    entries of vec(rho) reachable from the initial state are propagated
-    (see ``_sector``), and they are propagated as R = V'rho V with
-    V = diag(i^n_a), where the Liouvillian is a real matrix (module
-    docstring): ``expm_multiply`` gets a float64 matrix, and a float64 start
-    vector when R0 is real, as for the vacuum or a Fock-diagonal state; a
-    complex start stays complex.  Raises if the Liouvillian is not real in
-    that frame, so there is no silent complex fallback.  Starts from the
-    two-mode vacuum unless ``initial_state`` (a dim x dim density matrix:
-    Hermitian, unit trace, no eigenvalue below -1e-8) is given.  Sets
-    ``cutoff_ok = False`` when, at any sample, the highest level of either
-    mode that the propagated entries contain is populated beyond
-    ``TOP_LEVEL_TOL``.  ``validate`` checks every sample with
-    ``check_density_matrix`` on the principal block of R that the sector's
-    kets span: rho vanishes outside it, and V is unitary, so that block is
-    Hermitian, of unit trace and positive exactly when rho is.
+    with no tolerance to set, and which leaves numpy's global RNG as it
+    found it.  Only the entries of vec(rho) reachable from the initial
+    state are propagated (see ``_sector``), and they are propagated as
+    R = V'rho V with V = diag(i^n_a), where the Liouvillian is a real matrix
+    (module docstring): ``expm_multiply`` gets a float64 matrix, and a
+    float64 start vector when R0 is real, as for the vacuum or a
+    Fock-diagonal state; a complex start stays complex.  Raises if the
+    Liouvillian is not real in that frame, so there is no silent complex
+    fallback.  Starts from the two-mode vacuum unless ``initial_state`` is
+    given: a dim x dim matrix that must pass ``check_density_matrix``
+    (``InvalidInputError`` otherwise, so a non-finite entry is refused
+    before it is propagated).  Sets ``cutoff_ok = False`` when, at any
+    sample, the highest level of either mode that the propagated entries
+    contain is populated beyond ``TOP_LEVEL_TOL``.  ``validate`` checks every
+    sample with ``check_density_matrix`` on the principal block of R that
+    the sector's kets span: rho vanishes outside it, and V is unitary, so
+    that block is a density matrix exactly when rho is.
     """
     if t_end <= 0:
         raise InvalidInputError("t_end must be positive")
@@ -387,8 +382,6 @@ def evolve(
         rho0 = np.asarray(initial_state, dtype=complex)
         if rho0.shape != (dim, dim):
             raise InvalidInputError(f"initial state shape {rho0.shape} != ({dim}, {dim})")
-        if not abs(np.trace(rho0) - 1.0) <= 1e-8:
-            raise InvalidInputError("initial state must have unit trace")
         try:
             check_density_matrix(rho0)
         except UnphysicalStateError as err:
@@ -401,16 +394,7 @@ def evolve(
     if not np.any(r0.imag):
         r0 = r0.real.copy()
     t_grid = np.linspace(0.0, t_end, n_samples)
-    # the norm estimator (scipy's onenormest) that picks expm_multiply's
-    # degree and step count draws from numpy's global RNG: give it a fixed
-    # stream so results do not depend on the caller's RNG state, and leave
-    # that state as it was.
-    rng_state = np.random.get_state()
-    np.random.seed(0)
-    try:
-        out = expm_multiply(L.real, r0, start=0.0, stop=t_end, num=n_samples)
-    finally:
-        np.random.set_state(rng_state)
+    out = expm_multiply(L.real, r0, start=0.0, stop=t_end, num=n_samples)
     # any non-finite entry makes the sum non-finite; summing avoids a
     # stack-sized boolean temporary
     if not np.isfinite(out.sum()):
@@ -428,10 +412,10 @@ def evolve(
         block = np.zeros((n_samples, n * n), dtype=out.dtype)
         block[:, np.searchsorted(basis, kets) * n + np.searchsorted(basis, bras)] = out
         check_density_matrix(block.reshape(-1, n, n))
-    return FockTrajectory(t_grid, out, sector, phase, p, c, kind, cutoff_ok)
+    return FockTrajectory(t_grid, out, sector, phase, p, c, cutoff_ok)
 
 
-def extract_moments(rho: np.ndarray, c: FockConfig, time: float = 0.0) -> MomentState:
+def extract_moments(rho: np.ndarray, c: FockConfig) -> MomentState:
     """All six first/second moments of both modes by trace contractions."""
     a, b = mode_operators(c)
     ad, bd = a.conj().T, b.conj().T
@@ -442,7 +426,6 @@ def extract_moments(rho: np.ndarray, c: FockConfig, time: float = 0.0) -> Moment
         b_mean=expectation(rho, b),
         b_num=np.real(expectation(rho, bd @ b)),
         b_sq=expectation(rho, b @ b),
-        time=time,
     )
 
 
@@ -458,17 +441,14 @@ def exact_ergotropy(rho_b: np.ndarray, omega_b: float):
     Eigenvalues sorted in descending order are paired with ascending Fock
     energies n * omega_b to form the passive energy.  ``rho_b`` is one
     reduced state (returns a float) or a stack of them with shape
-    (n, cutoff_b, cutoff_b) (returns an array of n values).  Real input stays
-    real, so ``eigvalsh`` then works on real symmetric matrices.
+    (n, cutoff_b, cutoff_b) (returns an array of n values).  Every state must
+    pass ``check_density_matrix`` (``UnphysicalStateError`` otherwise, also
+    for a non-finite entry), whose eigenvalues are the ones used here.  Real
+    input stays real, so ``eigvalsh`` then works on real symmetric matrices.
     """
     rho_b = np.asarray(rho_b)
     rho_b = rho_b.astype(np.result_type(rho_b, float), copy=False)  # real stays real
-    if np.max(np.abs(rho_b - rho_b.conj().swapaxes(-1, -2))) > 1e-8:
-        raise UnphysicalStateError("reduced state not Hermitian")
-    w = np.linalg.eigvalsh(rho_b)  # ascending along the last axis
-    if w.min() < -1e-8:
-        raise UnphysicalStateError(f"negative eigenvalue {w.min():.2e}")
-    w = np.clip(w, 0.0, None)
+    w = np.clip(check_density_matrix(rho_b), 0.0, None)  # ascending
     levels = omega_b * np.arange(rho_b.shape[-1])
     energy = np.sum(np.real(np.diagonal(rho_b, axis1=-2, axis2=-1)) * levels, axis=-1)
     passive = np.sum(w[..., ::-1] * levels, axis=-1)

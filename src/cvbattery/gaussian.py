@@ -33,17 +33,15 @@ class MomentState:
     b_mean: complex = 0.0
     b_num: float = 0.0
     b_sq: complex = 0.0
-    time: float = 0.0
 
     @classmethod
-    def from_array(cls, moments, time=0.0) -> "MomentState":
+    def from_array(cls, moments) -> "MomentState":
         """Fields from a (..., 6) complex array with columns <a>, <a'a>,
         <aa>, <b>, <b'b>, <bb>, the layout of ``moments()`` on every
         trajectory."""
         m = np.asarray(moments)
         return cls(a_mean=m[..., 0], a_num=m[..., 1].real, a_sq=m[..., 2],
-                   b_mean=m[..., 3], b_num=m[..., 4].real, b_sq=m[..., 5],
-                   time=time)
+                   b_mean=m[..., 3], b_num=m[..., 4].real, b_sq=m[..., 5])
 
 
 @dataclass(frozen=True)

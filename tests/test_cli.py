@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cvbattery import cli, focksim, linear, metrics
 from cvbattery.errors import ConfigError, ConvergenceError
@@ -116,6 +118,95 @@ class TestParseScenario:
             cli.parse_scenario(
                 write_scenario(tmp_path, "coupling = linear\ng = -1.0\n")
             )
+
+    @pytest.mark.parametrize("scenario,other", [(LINEAR_SCENARIO, "J"),
+                                                (NONLINEAR_SCENARIO, "g")],
+                             ids=["linear", "nonlinear"])
+    def test_sweep_of_a_key_the_coupling_never_reads(self, tmp_path, capsys, scenario,
+                                                     other):
+        # the other coupling's strength is not a parameter of this model, so
+        # sweeping it would write the same row at every point
+        text = scenario + (f"sweep_param = {other}\nsweep_min = 0.5\nsweep_max = 1.0\n"
+                           "sweep_points = 3\n")
+        _assert_config_error(tmp_path, capsys, text, f"cannot sweep '{other}'")
+
+
+def _assert_config_error(tmp_path, capsys, text, match):
+    """``run`` exits 2 with one ``config error:`` line and writes no file."""
+    out = tmp_path / "out.csv"
+    assert cli.main(["run", str(write_scenario(tmp_path, text)), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert match in captured.err
+    assert not out.exists()
+
+
+class TestSweepEndpoints:
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (0.5, 0.0), (-0.5, 1.0)])
+    def test_log_sweep_needs_positive_endpoints(self, tmp_path, capsys, lo, hi):
+        text = NONLINEAR_SCENARIO + (f"sweep_param = Omega\nsweep_min = {lo}\n"
+                                     f"sweep_max = {hi}\nsweep_points = 3\n"
+                                     "sweep_scale = log\n")
+        _assert_config_error(tmp_path, capsys, text, "positive sweep_min and sweep_max")
+
+    @pytest.mark.parametrize("scenario,param,match", [
+        (LINEAR_SCENARIO, "g", "g = -1: coupling g must be positive"),
+        (NONLINEAR_SCENARIO, "J", "J = -1: coupling J must be positive"),
+        (NONLINEAR_SCENARIO, "gamma", "gamma = -1: invalid rates"),
+    ], ids=["linear-g", "nonlinear-J", "nonlinear-gamma"])
+    def test_every_sweep_point_is_checked(self, tmp_path, capsys, scenario, param, match):
+        text = scenario + (f"sweep_param = {param}\nsweep_min = -1\nsweep_max = 1\n"
+                           "sweep_points = 3\n")
+        _assert_config_error(tmp_path, capsys, text, match)
+
+    def test_swapped_endpoints_sweep_downwards(self, tmp_path, capsys):
+        text = NONLINEAR_SCENARIO + ("sweep_param = Omega\nsweep_min = 0.25\n"
+                                     "sweep_max = 0.05\nsweep_points = 3\n"
+                                     "sweep_scale = log\n")
+        assert cli.main(["run", str(write_scenario(tmp_path, text))]) == 0
+        rows = [l for l in capsys.readouterr().out.splitlines()
+                if l and l[0].isdigit()]
+        assert [float(r.split(",")[0]) for r in rows] == pytest.approx(
+            [0.25, math.sqrt(0.25 * 0.05), 0.05])
+
+
+_ENDPOINTS = st.one_of(st.sampled_from([0.0, -0.5, -1e-3]), st.floats(1e-3, 2.0))
+
+
+@settings(deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    coupling=st.sampled_from(["linear", "nonlinear"]),
+    route=st.sampled_from(["analytic", "cumulant", "perturbation"]),
+    gamma=st.sampled_from([0.0, 0.5]),
+    param=st.sampled_from(["Omega", "gamma", "g", "J", "omega_b"]),
+    scale=st.sampled_from(["linear", "log"]),
+    lo=_ENDPOINTS,
+    hi=_ENDPOINTS,
+    points=st.integers(2, 3),
+)
+def test_any_sweep_file_exits_cleanly(tmp_path, capsys, coupling, route, gamma, param,
+                                      scale, lo, hi, points):
+    """Sweep files over both couplings, every sweep key, both scales and
+    endpoints that may be zero, negative or swapped: ``run`` returns 0, 2 or
+    3 with at most one line on stderr, never raises, and refuses a bad file
+    before it opens the output."""
+    strength = "g = 0.5" if coupling == "linear" else "J = 1.0"
+    text = (f"coupling = {coupling}\nroute = {route}\nOmega = 0.1\ngamma = {gamma}\n"
+            f"{strength}\nt_end = 4.0\nn_samples = 9\nsweep_param = {param}\n"
+            f"sweep_min = {lo!r}\nsweep_max = {hi!r}\nsweep_points = {points}\n"
+            f"sweep_scale = {scale}\n")
+    out = tmp_path / "out.csv"
+    out.unlink(missing_ok=True)
+    code = cli.main(["run", str(write_scenario(tmp_path, text)), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    assert err.count("\n") == (code != 0)
+    if code == 2:
+        assert err.startswith("config error: ") and not out.exists()
+    if code == 3:
+        assert err.startswith("error: ")
 
 
 class TestRunCommand:

@@ -26,7 +26,6 @@ from cvbattery.focksim import (
     exact_ergotropy,
     expectation,
     extract_moments,
-    lindblad_rhs,
     mode_operators,
     reduced_battery_state,
     vacuum_state,
@@ -39,6 +38,20 @@ from cvbattery.linear import LinearParams, energy_linear
 
 
 CFG = FockConfig(cutoff_a=6, cutoff_b=6)
+
+
+def lindblad_rhs(rho: np.ndarray, H, gamma: float, c: FockConfig) -> np.ndarray:
+    """i[rho, H] + (gamma/2)(2 a rho a' - a'a rho - rho a'a): the master
+    equation written out, the oracle of ``_liouvillian``."""
+    dim = c.cutoff_a * c.cutoff_b
+    if rho.shape != (dim, dim):
+        raise InvalidInputError(f"density matrix shape {rho.shape} != ({dim}, {dim})")
+    a, _ = mode_operators(c)
+    ad = a.conj().T
+    n_a = ad @ a
+    drho = 1j * (rho @ H - H @ rho)
+    drho += gamma / 2.0 * (2.0 * (a @ rho @ ad) - n_a @ rho - rho @ n_a)
+    return np.asarray(drho)
 
 
 class TestOperators:
@@ -180,6 +193,13 @@ class TestEvolve:
         with pytest.raises(InvalidInputError, match="negative eigenvalue"):
             evolve("nonlinear", p, CFG, 1.0, initial_state=negative)
 
+    def test_non_finite_initial_state_refused(self):
+        p = NonlinearParams(Omega=0.25, J=1.0, gamma=0.5)
+        rho0 = vacuum_state(CFG)
+        rho0[0, 1] = rho0[1, 0] = np.nan
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            evolve("nonlinear", p, CFG, 1.0, initial_state=rho0)
+
     def test_validate_rejects_a_tampered_stack(self, monkeypatch):
         p = NonlinearParams(Omega=0.25, J=1.0, gamma=0.5)
         cfg = FockConfig(cutoff_a=4, cutoff_b=6)
@@ -263,11 +283,11 @@ def test_batched_observables_match_per_sample(kind, p, rho0):
     traj = evolve(kind, p, CFG, 6.0, n_samples=13, initial_state=rho0)
     _, b = mode_operators(CFG)
     nb = (b.conj().T @ b).tocsr()
-    fields = ("a_mean", "a_num", "a_sq", "b_mean", "b_num", "b_sq", "time")
-    batched = [MomentState.from_array(m, t) for m, t in zip(traj.moments(), traj.times)]
+    fields = ("a_mean", "a_num", "a_sq", "b_mean", "b_num", "b_sq")
+    batched = [MomentState.from_array(m) for m in traj.moments()]
     assert len(batched) == len(traj.rhos) == 13
-    for rho, t, m in zip(traj.rhos, traj.times, batched):
-        ref = extract_moments(rho, CFG, t)
+    for rho, m in zip(traj.rhos, batched):
+        ref = extract_moments(rho, CFG)
         for f in fields:
             assert abs(getattr(m, f) - getattr(ref, f)) < 1e-12, f
     pop = np.array([np.real(expectation(rho, nb)) for rho in traj.rhos])
@@ -447,8 +467,9 @@ def _sector_problem(kind, p, c, rho0):
 
 
 def _seeded(propagate, A, b, **kwargs):
-    """propagate(A, b, **kwargs) with numpy's global RNG seeded as evolve
-    seeds it, so the norm estimates pick the same degree and step count."""
+    """propagate(A, b, **kwargs) with numpy's global RNG seeded as
+    ``focksim.expm_multiply`` seeds it, so the norm estimates pick the same
+    degree and step count."""
     state = np.random.get_state()
     np.random.seed(0)
     try:
@@ -497,7 +518,7 @@ class TestPropagator:
                                                         oracle):
         A, r0 = _sector_problem("nonlinear", p, cfg, _fock_state(cfg, *rho0))
         kwargs = dict(start=0.0, stop=t_end, num=num)
-        out = _seeded(focksim.expm_multiply, A, r0, **kwargs)
+        out = focksim.expm_multiply(A, r0, **kwargs)
         assert np.array_equal(out, _seeded(oracle, A, r0, **kwargs))
         traj = evolve("nonlinear", p, cfg, t_end, n_samples=num,
                       initial_state=_fock_state(cfg, *rho0))
@@ -535,7 +556,7 @@ class TestPropagator:
         assert A.dtype == np.float64 and r0.dtype == (complex if start == "complex"
                                                       else float)
         kwargs = dict(start=0.0, stop=t_end, num=num)
-        out = _seeded(focksim.expm_multiply, A, r0, **kwargs)
+        out = focksim.expm_multiply(A, r0, **kwargs)
         assert np.array_equal(out, _seeded(_scipy_per_sample_branch, A, r0, **kwargs))
         # Where the sample count exceeds its step count, scipy shares Taylor
         # terms between samples instead, and rounds differently: up to
@@ -561,8 +582,31 @@ class TestPropagator:
         assert A.nnz > 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = _seeded(focksim.expm_multiply, A, r0, start=0.0, stop=1.0, num=3)
+            out = focksim.expm_multiply(A, r0, start=0.0, stop=1.0, num=3)
         assert np.array_equal(out, np.tile(r0, (3, 1)))
+
+    def test_global_rng_left_as_it_was(self):
+        # at this point scipy's norm estimates draw from the global RNG, as
+        # scipy's own expm_multiply shows by advancing it
+        cfg = FockConfig(8, 12)
+        p = NonlinearParams(Omega=0.25, J=1.0, gamma=2.0)
+        A, r0 = _sector_problem("nonlinear", p, cfg, vacuum_state(cfg))
+        kwargs = dict(start=0.0, stop=30.0, num=17)
+        saved = np.random.get_state()
+        try:
+            np.random.seed(11)
+            before = np.random.get_state()
+            first = focksim.expm_multiply(A, r0, **kwargs)
+            after = np.random.get_state()
+            assert before[0] == after[0] and before[2:] == after[2:]
+            assert np.array_equal(before[1], after[1])
+            expm_multiply(A, r0, **kwargs)
+            assert np.random.get_state()[2] != before[2]
+            np.random.seed(12)
+            second = focksim.expm_multiply(A, r0, **kwargs)
+        finally:
+            np.random.set_state(saved)
+        assert np.array_equal(first, second)
 
     @pytest.mark.parametrize(
         "b,kwargs,match",
@@ -583,12 +627,11 @@ class TestObservables:
         dim = CFG.cutoff_a * CFG.cutoff_b
         rho = np.zeros((dim, dim), dtype=complex)
         rho[1 * 6 + 2, 1 * 6 + 2] = 1.0  # |1, 2>
-        m = extract_moments(rho, CFG, time=1.5)
+        m = extract_moments(rho, CFG)
         assert m.a_num == pytest.approx(1.0)
         assert m.b_num == pytest.approx(2.0)
         assert m.a_mean == 0.0
         assert m.b_sq == 0.0
-        assert m.time == 1.5
 
     def test_expectation_against_dense_trace(self):
         rng = np.random.default_rng(5)
@@ -615,6 +658,19 @@ class TestObservables:
             check_density_matrix(np.diag([0.7, 0.2]).astype(complex))
         with pytest.raises(UnphysicalStateError):
             check_density_matrix(np.diag([1.2, -0.2]).astype(complex))
+
+    def test_check_density_matrix_returns_ascending_eigenvalues(self):
+        stack = np.stack([np.diag([0.7, 0.3]), np.array([[0.5, 0.5], [0.5, 0.5]])])
+        w = check_density_matrix(stack)
+        assert w.shape == (2, 2)
+        assert np.allclose(w, [[0.3, 0.7], [0.0, 1.0]], atol=1e-15)
+
+    def test_check_density_matrix_rejects_one_non_finite_sample(self):
+        stack = np.stack([np.diag([0.7, 0.3])] * 3).astype(complex)
+        check_density_matrix(stack)
+        stack[1, 0, 1] = stack[1, 1, 0] = np.nan
+        with pytest.raises(UnphysicalStateError, match="non-finite"):
+            check_density_matrix(stack)
 
 
 class TestErgotropy:
@@ -644,6 +700,13 @@ class TestErgotropy:
     def test_unphysical_rejected(self):
         with pytest.raises(UnphysicalStateError):
             exact_ergotropy(np.array([[0.5, 1.0], [0.0, 0.5]]), 1.0)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_state_rejected(self, entry):
+        rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        rho[0, 2] = rho[2, 0] = entry
+        with pytest.raises(UnphysicalStateError, match="non-finite"):
+            exact_ergotropy(rho, 1.0)
 
     def test_stack_matches_single_and_is_checked(self):
         good = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
