@@ -7,11 +7,12 @@ Subcommands:
 
 All computations are deterministic: the only random draws (the norm
 estimator inside the Fock propagator) use a fixed seed and leave numpy's
-global RNG state untouched.  ``--seedless`` is accepted for compatibility
-and has no effect.  Exit codes: 0 success, 2 config error, 3 non-convergence.
+global RNG state untouched.  Exit codes: 0 success, 2 config error,
+3 non-convergence; a run that fails writes no ``--out`` file.
 """
 
 import argparse
+import io
 import math
 import sys
 from dataclasses import dataclass, fields, replace
@@ -430,10 +431,7 @@ def main(argv=None) -> int:
     p_fig.add_argument("name", choices=sorted(FIGURES))
     p_fig.add_argument("--out", required=True, help="output directory")
 
-    p_const = sub.add_parser("constants", help="print the dimensionless constants")
-    for p in (p_run, p_fig, p_const):
-        p.add_argument("--seedless", action="store_true",
-                       help="no effect, kept for compatibility: every run is deterministic")
+    sub.add_parser("constants", help="print the dimensionless constants")
 
     args = parser.parse_args(argv)
 
@@ -461,8 +459,11 @@ def main(argv=None) -> int:
         if args.out is None:
             write_run_csv(sc, sys.stdout)
         else:
+            # render first, so that a run that fails leaves no file behind
+            buf = io.StringIO()
+            write_run_csv(sc, buf)
             with open(args.out, "w", newline="\n") as fh:
-                write_run_csv(sc, fh)
+                fh.write(buf.getvalue())
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -17,7 +17,10 @@ the dissipator D[a] is unchanged, as V commutes with a'a and a R a' picks up
 i * (-i) = 1.  The change of frame multiplies the vec(rho) entry (k, l) by
 i^(n_a(l) - n_a(k)), and multiplying by a power of i is exact in floating
 point, so the frame costs no accuracy.  A real start (the vacuum, any
-Fock-diagonal state) gives a real R at all times.
+Fock-diagonal state) gives a real R at all times.  R is also Hermitian, and
+a real Liouvillian maps its real symmetric and real antisymmetric parts to
+themselves, so only the upper triangle of each is propagated: about half the
+entries, under an operator with about half the nonzeros.
 """
 
 from dataclasses import dataclass, replace
@@ -25,9 +28,10 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-# scipy's (degree, step count) selection; the only private scipy import of the
-# package, pinned by the bit-identity tests of ``expm_multiply`` and by the
-# scipy version bound in pyproject.toml
+# scipy's CSR product kernel and its (degree, step count) selection: the
+# package's only private scipy imports, pinned by the bit-identity tests of
+# ``expm_multiply`` and by the scipy version bound in pyproject.toml
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg._expm_multiply import LazyOperatorNormInfo, _fragment_3_1
 
 from .errors import (
@@ -55,12 +59,16 @@ def expm_multiply(A, B, *, start, stop, num) -> np.ndarray:
     the step count s for one sample step h.  Each sample is the previous one
     advanced by s sub-steps, each a Taylor series in hA/s cut off once two
     successive terms fall below 2^-53 ||F||_inf, then scaled by exp(h mu/s).
-    The arithmetic is scipy's operation for operation, so the result is the
-    same to the bit wherever scipy takes that branch; what goes is the
-    overhead around it: terms are updated in place, and ||F||_inf is computed
-    only when the bound ||F_0||_inf + sum of the term norms lets the stopping
-    test pass.  Rounding keeps the computed ||F||_inf far below twice that
-    bound, so the factor 2 below never skips a test that would have passed.
+    The arithmetic is scipy's operation for operation, so for a CSR matrix A
+    the result is the same to the bit wherever scipy takes that branch; what
+    goes is the overhead around it.  Each product A @ term runs scipy's own
+    CSR kernel, ``csr_matvec``, adding into a zeroed vector as scipy's sparse
+    product does, but into one buffer reused for every term instead of a new
+    array behind scipy's operator dispatch; terms are updated in place; and
+    ||F||_inf is computed only when the bound ||F_0||_inf + sum of the term
+    norms lets the stopping test pass.  Rounding keeps the computed
+    ||F||_inf far below twice that bound, so the factor 2 below never skips
+    a test that would have passed.
     scipy's norm estimates draw from numpy's global RNG; they run on a fixed
     stream (seed 0), so the result does not depend on the caller's RNG
     state, and that state is left as it was.
@@ -91,7 +99,11 @@ def expm_multiply(A, B, *, start, stop, num) -> np.ndarray:
     coeffs = [h / float(s * (j + 1)) for j in range(m_star)]
     X = np.empty((num, n), dtype=np.result_type(A.dtype, B.dtype, float))
     X[0] = B
+    # the product A @ term as scipy computes it: csr_matvec adding into a
+    # zeroed vector of the result type, with A's entries in that type
+    A = sp.csr_matrix(A, dtype=X.dtype)
     term = np.empty(n, dtype=X.dtype)
+    product = np.empty(n, dtype=X.dtype)
     for k in range(1, num):
         F = X[k]
         F[:] = X[k - 1]
@@ -99,7 +111,9 @@ def expm_multiply(A, B, *, start, stop, num) -> np.ndarray:
             term[:] = F
             c1 = bound = np.abs(F).max()
             for coeff in coeffs:
-                np.multiply(A @ term, coeff, out=term)
+                product.fill(0)
+                csr_matvec(n, n, A.indptr, A.indices, A.data, term, product)
+                np.multiply(product, coeff, out=term)
                 c2 = np.abs(term).max()
                 F += term
                 bound += c2
@@ -142,22 +156,15 @@ def mode_operators(c: FockConfig):
 
 
 @lru_cache(maxsize=8)
-def _moment_weights(c: FockConfig):
-    """Real sparse (dim^2, 6) CSC matrix W and six powers of i f such that
-    (vec(R) @ W[:, j]) * f[j] is Tr(rho O) for O = a, a'a, aa, b, b'b, bb.
-
-    Column j of W is vec(O^T).  O lowers n_a by a fixed s, so every entry
-    (k, l) it weights has the phase i^s in vec(rho) = phase * vec(R); that
-    common phase is f[j], and the weights themselves are real.  Shared
-    through the cache: callers must not modify W or f in place.
+def _moment_weights(c: FockConfig) -> sp.csr_matrix:
+    """Real sparse (dim^2, 6) matrix W with vec(rho) @ W[:, j] = Tr(rho O)
+    for O = a, a'a, aa, b, b'b, bb: column j is vec(O^T), and the Fock-basis
+    entries of these operators are real.  Shared through the cache: callers
+    must not modify W in place.
     """
     a, b = mode_operators(c)
-    ops = ((a, 1), (a.conj().T @ a, 0), (a @ a, 2),
-           (b, 0), (b.conj().T @ b, 0), (b @ b, 0))
-    W = sp.hstack([op.T.reshape((-1, 1)).real for op, _ in ops], format="csc")
-    f = _POWERS_OF_I[[s for _, s in ops]]
-    f.setflags(write=False)
-    return W, f
+    ops = (a, a.conj().T @ a, a @ a, b, b.conj().T @ b, b @ b)
+    return sp.hstack([op.T.reshape((-1, 1)).real for op in ops], format="csr")
 
 
 def build_hamiltonian(kind: str, p, c: FockConfig) -> sp.csr_matrix:
@@ -197,17 +204,18 @@ def _liouvillian(H, gamma: float, c: FockConfig) -> sp.csr_matrix:
 class FockTrajectory:
     """Sampled density-matrix trajectory on the truncated product space.
 
-    The propagator only advances the entries of vec(rho) that the
-    Liouvillian can reach from the initial state: ``sector`` holds their
-    sorted row-major indices and ``sector_states`` the (n_samples,
-    sector.size) stack of their values in the frame R = V'rho V (module
-    docstring); every other entry is zero at all times.  ``sector_states`` is
-    real for a real start such as the vacuum.  ``phase`` (powers of i, one per
-    sector entry) maps it back: vec(rho)[sector] = phase * sector_states.
-    Every observable is read from that stack in one batched pass without
-    leaving the frame.  ``states`` (n_samples, dim^2) and ``rhos``
-    (n_samples, dim, dim) are the full-space arrays of rho, built anew on
-    each access.
+    The propagator advances only the half of vec(rho) that determines the
+    rest, and only the entries of that half that the initial state reaches
+    (``_folded_problem``).  In the frame R = V'rho V (module docstring), R
+    is Hermitian, R = S + iA with S real symmetric and A real antisymmetric,
+    and ``sector_states``, a real (n_samples, sector.size) stack, holds S on
+    k <= l and A on k < l.  Column j holds entry ``sector[j]`` = k * dim + l
+    of S or of A: rho[k, l] gets phase[j] * sector_states[:, j] from it and
+    rho[l, k] the conjugate, with ``phase`` a power of i per column.  Every
+    other entry is zero at all times.  Every observable is read from the half
+    stack in one batched pass without leaving the frame; ``states``
+    (n_samples, dim^2) and ``rhos`` (n_samples, dim, dim) unfold it into
+    full-space arrays of rho, built anew on each access.
     """
 
     def __init__(self, times, sector_states, sector, phase, params, config, cutoff_ok):
@@ -226,28 +234,34 @@ class FockTrajectory:
 
     @property
     def states(self) -> np.ndarray:
-        c = self.config
-        full = np.zeros((len(self.times), (c.cutoff_a * c.cutoff_b) ** 2), dtype=complex)
-        full[:, self.sector] = self.sector_states * self.phase
-        return full
+        return self.rhos.reshape(len(self.times), -1)
 
     @property
     def rhos(self) -> np.ndarray:
         dim = self.config.cutoff_a * self.config.cutoff_b
-        return self.states.reshape(-1, dim, dim)
+        return _unfold(self.sector_states, *np.divmod(self.sector, dim), self.phase, dim)
 
     def moments(self) -> np.ndarray:
         """(n_samples, 6) complex <a>, <a'a>, <aa>, <b>, <b'b>, <bb>, from one
-        product of the stack with the sparse real weights of
-        ``_moment_weights``, so a real stack is never copied to complex."""
+        real product of the stack with folded weights.  Column j stands for
+        rho[k, l] and rho[l, k], so its weight is phase[j] W[k, l] +
+        conj(phase[j]) W[l, k], with W from ``_moment_weights``: that is
+        f (W[k, l] + W[l, k]) on S and i f (W[k, l] - W[l, k]) on A, f being
+        the power of i that every entry the moment weighs carries.  The real
+        and imaginary parts of these weights are the 12 columns of one real
+        product, so the stack is never copied to complex."""
         if self._moments is None:
-            W, f = _moment_weights(self.config)
-            W = W[self.sector]
+            dim = self.config.cutoff_a * self.config.cutoff_b
+            k, l = np.divmod(self.sector, dim)
+            W = _unfold_weights(k, l, self.phase, dim) @ _moment_weights(self.config)
+            W = sp.hstack([W.real, W.imag], format="csc")
+            W.eliminate_zeros()
             # gather the few stack columns that any moment weights (165 of
-            # 2304 at (8,12)) first: scipy copies a product's dense operand
+            # 1176 at (8,12)) first: scipy copies a product's dense operand
             # transposed, and a copy of the whole stack raised the peak RSS
             cols = np.unique(W.indices)
-            self._moments = (self.sector_states[:, cols] @ W[cols]) * f
+            P = self.sector_states[:, cols] @ W[cols]
+            self._moments = P[:, :6] + 1j * P[:, 6:]
         return self._moments
 
     def battery_population(self) -> np.ndarray:
@@ -257,18 +271,14 @@ class FockTrajectory:
         """(n_samples, cutoff_b, cutoff_b) partial traces over the charger.
 
         The summed entries (i, j, i, k) have equal n_a on both sides, hence
-        phase 1: they come straight from the stack, real for a real start.
+        frame phase 1: they come straight from the stack, S mirrored and A
+        antisymmetrised, real for a real start.
         """
-        ca, cb = self.config.cutoff_a, self.config.cutoff_b
-        i, j, i2, k = np.unravel_index(self.sector, (ca, cb, ca, cb))
-        out = np.zeros((len(self.times), cb * cb), dtype=self.sector_states.dtype)
-        # one charger level at a time: no gather larger than the output, and
-        # the sum runs over i in ascending order, as the einsum of
-        # reduced_battery_state does, so both give the same bits
-        for level in range(ca):
-            sel = np.flatnonzero((i == level) & (i2 == level))  # entries (i, j, i, k)
-            out[:, j[sel] * cb + k[sel]] += self.sector_states[:, sel]
-        return out.reshape(-1, cb, cb)
+        cb = self.config.cutoff_b
+        k, l = np.divmod(self.sector, self.config.cutoff_a * cb)
+        (i, j), (i2, k2) = np.divmod(k, cb), np.divmod(l, cb)
+        sel = np.flatnonzero(i == i2)
+        return _unfold(self.sector_states[:, sel], j[sel], k2[sel], self.phase[sel], cb)
 
 
 def expectation(rho: np.ndarray, op) -> complex:
@@ -321,21 +331,95 @@ def _sector(L, v0: np.ndarray) -> np.ndarray:
         reached = grown
 
 
+def _frame_phase(sector, c: FockConfig) -> np.ndarray:
+    """i^(n_a(k) - n_a(l)) for each row-major vec(rho) index k * dim + l: the
+    factor that takes vec(R) to vec(rho), R = V'rho V (module docstring)."""
+    k, l = np.divmod(sector, c.cutoff_a * c.cutoff_b)
+    return _POWERS_OF_I[(k // c.cutoff_b - l // c.cutoff_b) % 4]
+
+
 def _sector_liouvillian(kind: str, p, c: FockConfig, v0: np.ndarray):
     """(L, sector, phase): the Liouvillian restricted to the sector that v0
     reaches (see ``_sector``) and taken to the frame R = V'rho V, that is,
     conj(phase) L phase entry by entry, where vec(rho)[sector] =
     phase * vec(R)[sector].  Each factor is a power of i, so the entries are
-    exact; L keeps its complex dtype, and ``evolve`` checks that its
-    imaginary part is zero."""
+    exact; L keeps its complex dtype, and ``_folded_problem`` checks that its
+    imaginary part is zero before it folds L."""
     L = _liouvillian(build_hamiltonian(kind, p, c), p.gamma, c)
     sector = _sector(L, v0)
-    k, l = np.divmod(sector, c.cutoff_a * c.cutoff_b)
-    phase = _POWERS_OF_I[(k // c.cutoff_b - l // c.cutoff_b) % 4]  # i^(n_a(k) - n_a(l))
+    phase = _frame_phase(sector, c)
     L = L[sector][:, sector]
     rows = np.repeat(np.arange(sector.size), np.diff(L.indptr))
     L.data *= phase.conj()[rows] * phase[L.indices]
     return L, sector, phase
+
+
+def _folded_problem(kind: str, p, c: FockConfig, v0: np.ndarray):
+    """(M, x0, sector, phase): the real linear problem dx/dt = M x that
+    ``evolve`` propagates, for the start vec(rho0) = v0.
+
+    R = V'rho V is Hermitian, and in the frame the sector Liouvillian L is
+    real, so L maps the real part S and the imaginary part A of R = S + iA to
+    themselves: S is symmetric and lives on the entries (k, l) with k <= l,
+    A is antisymmetric and lives on k < l.  x stacks those halves, [S; A],
+    and M = block-diag(L[S rows] E_S, L[A rows] E_A), where E_S copies each
+    kept entry to its mirror (l, k) and E_A copies it with a minus sign.  M
+    and x0 are then restricted to the entries that x0 reaches (``_sector``);
+    for a real start, A vanishes, and so does its block.  Column j of the
+    stack holds entry ``sector[j]`` = k * dim + l: rho[k, l] gets
+    phase[j] * x[j] from it and rho[l, k] the conjugate, so phase is i^(n_a(k)
+    - n_a(l)) on S and i times that on A.  Raises ``InvalidInputError`` if L
+    is not real in the frame.
+    """
+    L, sector, phase = _sector_liouvillian(kind, p, c, v0)
+    if np.any(L.data.imag):
+        raise InvalidInputError(f"{kind} Liouvillian is not real in the i^n_a frame")
+    L = L.real
+    dim = c.cutoff_a * c.cutoff_b
+    k, l = np.divmod(sector, dim)
+    mirror = np.searchsorted(sector, l * dim + k)  # the sector is transpose-closed
+    lower = np.flatnonzero(k > l)
+
+    def fold(half, sign):
+        """L[half] E, with E taking (k, l) to the column of the kept entry
+        (min, max), times ``sign`` below the diagonal."""
+        col = np.empty(sector.size, dtype=np.intp)
+        col[half] = np.arange(half.size)
+        E = sp.csr_matrix((np.r_[np.ones(half.size), np.full(lower.size, sign)],
+                           (np.r_[half, lower], np.r_[col[half], col[mirror[lower]]])),
+                          shape=(sector.size, half.size))
+        return L[half] @ E
+
+    sym, antisym = np.flatnonzero(k <= l), np.flatnonzero(k < l)
+    M = sp.block_diag((fold(sym, 1.0), fold(antisym, -1.0)), format="csr")
+    sector = np.r_[sector[sym], sector[antisym]]
+    phase = np.r_[phase[sym], 1j * phase[antisym]]
+    x0 = (phase.conj() * v0[sector]).real  # exact: phase holds powers of i
+    keep = _sector(M, x0)
+    return M[keep][:, keep], x0[keep], sector[keep], phase[keep]
+
+
+def _unfold_weights(rows, cols, coef, n: int) -> sp.csr_matrix:
+    """Complex sparse (coef.size, n^2) matrix U such that stack @ U is the
+    row-major vectorisation of sum_j stack[:, j] (coef[j] |rows[j]><cols[j]|
+    + conj(coef[j]) |cols[j]><rows[j]|), a diagonal entry counted once: the
+    Hermitian matrices that a folded stack holds."""
+    j = np.arange(coef.size)
+    off = rows != cols
+    return sp.csr_matrix((np.r_[coef, coef[off].conj()],
+                          (np.r_[j, j[off]], np.r_[rows * n + cols, (cols * n + rows)[off]])),
+                         shape=(coef.size, n * n))
+
+
+def _unfold(stack, rows, cols, coef, n: int) -> np.ndarray:
+    """(n_samples, n, n): stack @ ``_unfold_weights(rows, cols, coef, n)``
+    as two real products, so the real stack is never copied to complex, and
+    real when every coef is real."""
+    U = _unfold_weights(rows, cols, coef, n)
+    out = stack @ U.real
+    if np.any(coef.imag):
+        out = out + 1j * (stack @ U.imag)
+    return out.reshape(-1, n, n)
 
 
 def evolve(
@@ -354,22 +438,25 @@ def evolve(
     module's Al-Mohy/Higham propagator, which advances each sample from the
     one before by Taylor-series sub-steps, accurate to machine precision
     with no tolerance to set, and which leaves numpy's global RNG as it
-    found it.  Only the entries of vec(rho) reachable from the initial
-    state are propagated (see ``_sector``), and they are propagated as
-    R = V'rho V with V = diag(i^n_a), where the Liouvillian is a real matrix
-    (module docstring): ``expm_multiply`` gets a float64 matrix, and a
-    float64 start vector when R0 is real, as for the vacuum or a
-    Fock-diagonal state; a complex start stays complex.  Raises if the
-    Liouvillian is not real in that frame, so there is no silent complex
-    fallback.  Starts from the two-mode vacuum unless ``initial_state`` is
-    given: a dim x dim matrix that must pass ``check_density_matrix``
-    (``InvalidInputError`` otherwise, so a non-finite entry is refused
-    before it is propagated).  Sets ``cutoff_ok = False`` when, at any
+    found it.  The state is propagated as R = V'rho V with V = diag(i^n_a),
+    where the Liouvillian is a real matrix (module docstring), and only
+    through the half of R that fixes the rest: the real symmetric part on
+    k <= l and the real antisymmetric part on k < l, each under its own
+    folded real operator, and of those only the entries that the initial
+    state reaches (``_folded_problem``).  ``expm_multiply`` so gets a
+    float64 matrix and a float64 start vector for every start; a real start,
+    such as the vacuum or a Fock-diagonal state, has no antisymmetric part,
+    and that half drops out.  Raises if the Liouvillian is not real in the
+    frame, so there is no silent complex fallback.  Starts from the two-mode
+    vacuum unless ``initial_state`` is given: a dim x dim matrix that must
+    pass ``check_density_matrix`` (``InvalidInputError`` otherwise, so a
+    non-finite entry is refused before it is propagated).  Sets ``cutoff_ok = False`` when, at any
     sample, the highest level of either mode that the propagated entries
-    contain is populated beyond ``TOP_LEVEL_TOL``.  ``validate`` checks every
-    sample with ``check_density_matrix`` on the principal block of R that
-    the sector's kets span: rho vanishes outside it, and V is unitary, so
-    that block is a density matrix exactly when rho is.
+    contain is populated beyond ``TOP_LEVEL_TOL``.  ``validate`` unfolds
+    every sample and checks it with ``check_density_matrix`` on the
+    principal block of R that the propagated kets span: rho vanishes outside
+    it, and V is unitary, so that block is a density matrix exactly when rho
+    is.
     """
     if t_end <= 0:
         raise InvalidInputError("t_end must be positive")
@@ -386,32 +473,25 @@ def evolve(
             check_density_matrix(rho0)
         except UnphysicalStateError as err:
             raise InvalidInputError(f"initial state: {err}") from None
-    v0 = rho0.reshape(-1)
-    L, sector, phase = _sector_liouvillian(kind, p, c, v0)
-    if np.any(L.data.imag):
-        raise InvalidInputError(f"{kind} Liouvillian is not real in the i^n_a frame")
-    r0 = phase.conj() * v0[sector]  # exact: phase holds powers of i
-    if not np.any(r0.imag):
-        r0 = r0.real.copy()
+    L, x0, sector, phase = _folded_problem(kind, p, c, rho0.reshape(-1))
     t_grid = np.linspace(0.0, t_end, n_samples)
-    out = expm_multiply(L.real, r0, start=0.0, stop=t_end, num=n_samples)
+    out = expm_multiply(L, x0, start=0.0, stop=t_end, num=n_samples)
     # any non-finite entry makes the sum non-finite; summing avoids a
     # stack-sized boolean temporary
     if not np.isfinite(out.sum()):
         raise ConvergenceError("Lindblad propagation produced non-finite values")
     kets, bras = np.divmod(sector, dim)
-    diag = np.flatnonzero(kets == bras)  # sector columns of populations (phase 1)
-    pop = np.real(out[:, diag])
+    diag = np.flatnonzero(kets == bras)  # populations: S entries with phase 1
+    pop = out[:, diag]
     cutoff_ok = not any(
         np.any(pop[:, level == level.max()].sum(axis=1) > TOP_LEVEL_TOL)
         for level in np.divmod(kets[diag], c.cutoff_b)  # n_a, n_b
     )
     if validate:
         basis = np.union1d(kets, bras)
-        n = basis.size
-        block = np.zeros((n_samples, n * n), dtype=out.dtype)
-        block[:, np.searchsorted(basis, kets) * n + np.searchsorted(basis, bras)] = out
-        check_density_matrix(block.reshape(-1, n, n))
+        check_density_matrix(_unfold(out, np.searchsorted(basis, kets),
+                                     np.searchsorted(basis, bras),
+                                     phase * _frame_phase(sector, c).conj(), basis.size))
     return FockTrajectory(t_grid, out, sector, phase, p, c, cutoff_ok)
 
 

@@ -190,8 +190,8 @@ def test_any_sweep_file_exits_cleanly(tmp_path, capsys, coupling, route, gamma, 
                                       scale, lo, hi, points):
     """Sweep files over both couplings, every sweep key, both scales and
     endpoints that may be zero, negative or swapped: ``run`` returns 0, 2 or
-    3 with at most one line on stderr, never raises, and refuses a bad file
-    before it opens the output."""
+    3 with at most one line on stderr, never raises, and writes the output
+    file only when it succeeds."""
     strength = "g = 0.5" if coupling == "linear" else "J = 1.0"
     text = (f"coupling = {coupling}\nroute = {route}\nOmega = 0.1\ngamma = {gamma}\n"
             f"{strength}\nt_end = 4.0\nn_samples = 9\nsweep_param = {param}\n"
@@ -203,8 +203,9 @@ def test_any_sweep_file_exits_cleanly(tmp_path, capsys, coupling, route, gamma, 
     err = capsys.readouterr().err
     assert code in (0, 2, 3)
     assert err.count("\n") == (code != 0)
+    assert out.exists() == (code == 0)
     if code == 2:
-        assert err.startswith("config error: ") and not out.exists()
+        assert err.startswith("config error: ")
     if code == 3:
         assert err.startswith("error: ")
 
@@ -231,13 +232,27 @@ class TestRunCommand:
     def test_run_to_stdout_with_overrides(self, tmp_path, capsys):
         path = write_scenario(tmp_path, LINEAR_SCENARIO)
         code = cli.main(["run", str(path), "--samples", "11",
-                         "--t-end", "5.0", "--seedless"])
+                         "--t-end", "5.0"])
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         summary = lines.index("route,t_E,E_tE,t_P,P_tP")
         data = [l for l in lines[2:summary] if l]
         assert len(data) == 11
         assert float(data[-1].split(",")[0]) == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_run_writes_no_file(self, tmp_path, capsys, existing):
+        # the power optimum of an undriven linear battery fails at run time
+        path = write_scenario(tmp_path, LINEAR_SCENARIO.replace("Omega = 0.1", "Omega = 0"))
+        out = tmp_path / "out.csv"
+        if existing:
+            out.write_text("kept\n")
+        assert cli.main(["run", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: power optimum requires Omega > 0\n"
+        if existing:
+            assert out.read_text() == "kept\n"
+        else:
+            assert not out.exists()
 
     def test_route_override_and_all_routes(self, tmp_path, capsys):
         path = write_scenario(tmp_path, NONLINEAR_SCENARIO)
@@ -460,7 +475,7 @@ class TestFigureCommand:
 
 class TestConstantsCommand:
     def test_values_and_residuals(self, capsys):
-        assert cli.main(["constants", "--seedless"]) == 0
+        assert cli.main(["constants"]) == 0
         out = capsys.readouterr().out
         rows = {r[0]: r for r in csv.reader(io.StringIO(out)) if r}
         expected = {
@@ -478,12 +493,23 @@ class TestConstantsCommand:
             assert float(rows[name][2]) < 1e-12
 
 
+@pytest.mark.parametrize("argv", [["constants"], ["figure", "fig1c", "--out", "figs"],
+                                  ["run", "scenario.txt"]])
+def test_seedless_flag_refused(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--seedless"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seedless" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_determinism_repeat_run(tmp_path, capsys):
     path = tmp_path / "s.txt"
     path.write_text(NONLINEAR_SCENARIO)
     outputs = []
     for _ in range(2):
-        assert cli.main(["run", str(path), "--seedless",
+        assert cli.main(["run", str(path),
                          "--samples", "33", "--t-end", "10.0"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]

@@ -29,6 +29,7 @@ from cvbattery.focksim import (
     mode_operators,
     reduced_battery_state,
     vacuum_state,
+    _folded_problem,
     _liouvillian,
     _sector,
     _sector_liouvillian,
@@ -313,25 +314,33 @@ def _parity_projected(rho, c):
 
 @settings(deadline=None, max_examples=25)
 @given(
+    st.sampled_from(["linear", "nonlinear"]),
     st.floats(0.01, 1.0),  # Omega
-    st.floats(0.2, 2.0),  # J
+    st.floats(0.2, 2.0),  # g or J
     st.floats(0.05, 2.0),  # gamma
     st.sampled_from(["vacuum", "even", "full"]),
     st.integers(0, 2**32 - 1),
 )
-def test_sector_propagation_matches_full_space(Omega, J, gamma, start, seed):
+def test_sector_propagation_matches_full_space(kind, Omega, coupling, gamma, start, seed):
     c = FockConfig(cutoff_a=3, cutoff_b=4)
     dim = 12
-    p = NonlinearParams(Omega=Omega, J=J, gamma=gamma)
+    if kind == "linear":
+        p = LinearParams(Omega=Omega, g=coupling, gamma=gamma)
+    else:
+        p = NonlinearParams(Omega=Omega, J=coupling, gamma=gamma)
     rho0 = {
         "vacuum": vacuum_state(c),
         "even": _parity_projected(_random_density_matrix(dim, seed), c),
         "full": _random_density_matrix(dim, seed),
     }[start]
-    traj = evolve("nonlinear", p, c, 3.0, n_samples=5, initial_state=rho0)
-    L = _liouvillian(build_hamiltonian("nonlinear", p, c), gamma, c).tocsc()
+    traj = evolve(kind, p, c, 3.0, n_samples=5, initial_state=rho0)
+    L = _liouvillian(build_hamiltonian(kind, p, c), gamma, c).tocsc()
     ref = expm_multiply(L, rho0.reshape(-1), start=0.0, stop=3.0, num=5, endpoint=True)
-    assert traj.sector.size == (dim**2 if start == "full" else (3 * 2) ** 2)
+    # the kets reached: all of them, or the even battery numbers when the
+    # nonlinear coupling keeps a parity start in its block; a real start
+    # propagates the k <= l half of S, a complex one all of S and A
+    n = dim if kind == "linear" or start == "full" else 3 * 2
+    assert traj.sector.size == (n * (n + 1) // 2 if start == "vacuum" else n * n)
     assert np.max(np.abs(traj.states - ref)) < 1e-10
     ref_rhos = ref.reshape(-1, dim, dim)
     fields = ("a_mean", "a_num", "a_sq", "b_mean", "b_num", "b_sq")
@@ -363,10 +372,10 @@ def handed_to_propagator(monkeypatch):
     [
         # even battery parity on both sides of rho: a quarter of the space
         ("nonlinear", NonlinearParams(Omega=0.25, J=1.0, gamma=0.5),
-         FockConfig(cutoff_a=8, cutoff_b=12), 2304, 18816),
+         FockConfig(cutoff_a=8, cutoff_b=12), 1176, 9450),
         # no conserved parity: the whole space
         ("linear", LinearParams(Omega=0.1, g=0.5, gamma=1.0),
-         FockConfig(cutoff_a=6, cutoff_b=6), 1296, 10080),
+         FockConfig(cutoff_a=6, cutoff_b=6), 666, 5070),
     ],
 )
 def test_liouvillian_handed_to_propagator(handed_to_propagator, kind, p, cfg, rows, nnz):
@@ -378,7 +387,7 @@ def test_conserved_charge_start_stays_in_its_sector(handed_to_propagator):
     # with Omega = gamma = 0, |1,0> only mixes with |0,2>: M = 2a'a + b'b = 2
     conserved_charge_drift(NonlinearParams(Omega=0.0, J=1.0, gamma=0.0),
                            FockConfig(4, 6), 5.0)
-    assert [rows for rows, _ in handed_to_propagator] == [4]
+    assert [rows for rows, _ in handed_to_propagator] == [3]
 
 
 @pytest.fixture
@@ -439,7 +448,8 @@ def test_complex_start_stays_complex(propagator_dtypes):
     rho0 = _random_density_matrix(36, 3)
     traj = evolve("nonlinear", NonlinearParams(Omega=0.25, J=1.0, gamma=0.5), CFG,
                   1.0, n_samples=3, initial_state=rho0)
-    assert propagator_dtypes == [(np.float64, np.complex128)]
+    assert propagator_dtypes == [(np.float64, np.float64)]
+    assert traj.sector_states.shape == (3, 36 * 37 // 2 + 36 * 35 // 2)  # |S| + |A|
     assert np.array_equal(traj.states[0], rho0.reshape(-1))
 
 
@@ -458,12 +468,10 @@ def test_liouvillian_not_real_in_the_frame_is_refused(monkeypatch):
 
 
 def _sector_problem(kind, p, c, rho0):
-    """(A, r0): the real sector Liouvillian and the start vector that evolve
+    """(A, x0): the real folded Liouvillian and the start vector that evolve
     hands to the propagator."""
-    v0 = rho0.reshape(-1)
-    L, sector, phase = _sector_liouvillian(kind, p, c, v0)
-    r0 = phase.conj() * v0[sector]
-    return L.real, r0 if np.any(r0.imag) else r0.real.copy()
+    A, x0, _, _ = _folded_problem(kind, p, c, rho0.reshape(-1))
+    return A, x0
 
 
 def _seeded(propagate, A, b, **kwargs):
@@ -553,8 +561,7 @@ class TestPropagator:
             "complex": lambda: _random_density_matrix(dim, seed),
         }[start]()
         A, r0 = _sector_problem(kind, p, c, rho0)
-        assert A.dtype == np.float64 and r0.dtype == (complex if start == "complex"
-                                                      else float)
+        assert A.dtype == np.float64 and r0.dtype == np.float64
         kwargs = dict(start=0.0, stop=t_end, num=num)
         out = focksim.expm_multiply(A, r0, **kwargs)
         assert np.array_equal(out, _seeded(_scipy_per_sample_branch, A, r0, **kwargs))
@@ -566,6 +573,18 @@ class TestPropagator:
         ref = _seeded(expm_multiply, A, r0, **kwargs)
         assert out.dtype == ref.dtype
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_complex_vector_bit_identical_to_scipys_per_sample_branch(self):
+        # evolve hands the propagator real vectors only; a complex one takes
+        # the same kernel, on A's entries made complex as scipy makes them
+        cfg = FockConfig(4, 6)
+        A, x0 = _sector_problem("nonlinear", NonlinearParams(Omega=0.25, J=1.0, gamma=0.5),
+                                cfg, vacuum_state(cfg))
+        b = x0 + 1j * np.random.default_rng(5).normal(size=x0.size)
+        kwargs = dict(start=0.0, stop=10.0, num=9)
+        out = focksim.expm_multiply(A, b, **kwargs)
+        assert out.dtype == np.complex128
+        assert np.array_equal(out, _seeded(_scipy_per_sample_branch, A, b, **kwargs))
 
     def test_zero_matrix_gives_constant_rows(self):
         b = np.array([0.3, -1.0, 2.5j])
