@@ -328,14 +328,19 @@ def _figure_fig2(outdir):
 
 
 def _figure_fig3(outdir):
+    """Cumulant time series of the nonlinear battery: weak driving at
+    gamma = 0 and gamma = J/2 (a_d, b_e), then three drives at gamma = J/2
+    (c_f).  The Omega = J/4 column of c_f is the b_e trajectory, so every
+    point is integrated once."""
     paths = []
     J = 1.0
+    moderate = {}  # Omega -> battery population on the c_f grid
     # columns 1 (gamma = 0) and 2 (gamma = J/2), both at Omega = J/4
     for tag, gamma in (("a_d", 0.0), ("b_e", 0.5)):
         p = cumulant.NonlinearParams(omega_b=1.0, Omega=0.25, J=J, gamma=gamma)
         t_end = 10.0 if gamma == 0.0 else 40.0
         traj = cumulant.integrate_cumulant(p, t_end, 2001)
-        t = traj.times
+        t, energy = traj.times, traj.battery_population()
         if gamma == 0.0:
             header = ["t", "energy_cumulant", "energy_order0", "energy_order1",
                       "energy_order2"]
@@ -343,13 +348,14 @@ def _figure_fig3(outdir):
         else:
             header = ["t", "energy_cumulant", "energy_weak_driving"]
             approx = [perturbation.weak_driving_energy(t, p)]
+            moderate[p.Omega] = energy
         paths.append(_figure_csv(
             outdir, f"fig3_{tag}_timeseries.csv",
             f"nonlinear battery, Omega=J/4, gamma={_cell(gamma)}, J=1", header,
-            zip(t, traj.battery_population(), *approx)))
+            zip(t, energy, *approx)))
     # column 3: moderate driving at gamma = J/2 for three drive amplitudes
     drives = (0.05, 0.25, 1.0)
-    cols = [cumulant.integrate_cumulant(
+    cols = [moderate[om] if om in moderate else cumulant.integrate_cumulant(
                 cumulant.NonlinearParams(omega_b=1.0, Omega=om, J=J, gamma=0.5),
                 40.0, 2001).battery_population() for om in drives]
     paths.append(_figure_csv(

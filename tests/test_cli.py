@@ -4,13 +4,14 @@ import csv
 import dataclasses
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cvbattery import cli, focksim, linear, metrics
+from cvbattery import cli, cumulant, focksim, linear, metrics
 from cvbattery.errors import ConfigError, ConvergenceError
 
 
@@ -438,6 +439,20 @@ class TestRunCommand:
         monkeypatch.setattr(cli, "write_run_csv", boom)
         assert cli.main(["run", str(path)]) == 3
 
+    def test_failed_cumulant_integration_exit_code(self, tmp_path, capfd):
+        path = write_scenario(tmp_path, NONLINEAR_SCENARIO.replace(
+            "Omega = 0.25", "Omega = 1e200"))
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["run", str(path), "--out", str(out)]) == 3
+        assert not caught
+        err = capfd.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: cumulant integration failed")
+        assert "ODEintWarning" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("override", [False, True])
     def test_fock_run_with_one_sample_exit_code(self, tmp_path, capsys, override):
         text = NONLINEAR_SCENARIO.replace("route = cumulant", "route = fock")
@@ -467,6 +482,28 @@ class TestFigureCommand:
         assert cli.main(["figure", "fig2", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "fig2_ad_timeseries.csv").exists()
         assert (tmp_path / "fig2_bcef_optima.csv").exists()
+
+    def test_fig3_integrates_each_point_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        integrate = cumulant.integrate_cumulant
+
+        def counting(p, t_end, n_samples):
+            calls.append((p, t_end, n_samples))
+            return integrate(p, t_end, n_samples)
+
+        monkeypatch.setattr(cumulant, "integrate_cumulant", counting)
+        assert cli.main(["figure", "fig3", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 4
+        assert len(set(calls)) == 4
+
+        def column(name, col):
+            with open(tmp_path / name) as fh:
+                rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+            return [r[rows[0].index(col)] for r in rows[1:]]
+
+        b_e = column("fig3_b_e_timeseries.csv", "energy_cumulant")
+        assert len(b_e) == 2001
+        assert column("fig3_c_f_moderate.csv", "energy_Omega_0.25") == b_e
 
     def test_unknown_figure_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

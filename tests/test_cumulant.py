@@ -1,10 +1,13 @@
 """Unit tests for the nonlinear cumulant route."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from cvbattery import cumulant
 from cvbattery.cumulant import (
     NonlinearParams,
     cumulant_rhs,
@@ -13,7 +16,7 @@ from cvbattery.cumulant import (
     steady_state_nonlinear,
     steady_variances,
 )
-from cvbattery.errors import InvalidInputError
+from cvbattery.errors import ConvergenceError, InvalidInputError
 from cvbattery.gaussian import MomentState, covariance_determinant
 
 
@@ -107,6 +110,58 @@ class TestIntegration:
         traj = integrate_cumulant(p, 5.0, 21)
         for b_mean in traj.moments()[:, 3]:
             assert b_mean == 0.0
+
+    # (Omega, gamma, t_end, n_samples), J = 1: the benchmark trajectory, the
+    # fig3 panels, weak drives over long horizons, strong damping, strong drive
+    @pytest.mark.parametrize("Omega, gamma, t_end, n", [
+        (0.25, 0.5, 40.0, 257), (0.25, 0.0, 10.0, 2001), (1.0, 0.5, 40.0, 2001),
+        (0.01, 0.5, 240.0, 257), (0.002, 0.5, 400.0, 401), (0.25, 20.0, 40.0, 257),
+        (5.0, 0.5, 40.0, 401),
+    ])
+    def test_matches_tight_reference(self, Omega, gamma, t_end, n):
+        p = NonlinearParams(Omega=Omega, J=1.0, gamma=gamma)
+        traj = integrate_cumulant(p, t_end, n)
+        ref = solve_ivp(cumulant_rhs, (0.0, t_end), np.zeros(8), method="DOP853",
+                        t_eval=traj.times, args=(p,), rtol=1e-13, atol=1e-15).y.T
+        assert np.max(np.abs(traj.states - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_sparse_grid(self):
+        # two samples: one output interval of many steps, no step cap applies
+        p = NonlinearParams(Omega=1.0, J=1.0, gamma=0.5)
+        traj = integrate_cumulant(p, 400.0, 2)
+        assert traj.states.shape == (2, 8)
+        assert traj.battery_population()[-1] == pytest.approx(
+            (math.sqrt(5.0) - 1.0) / 2.0, abs=1e-8)
+
+    # the strong drive checks that LSODA accepts the retry's tolerances there
+    @pytest.mark.parametrize("Omega, gamma, t_end, n", [
+        (0.25, 0.5, 5.0, 21), (100.0, 1.0, 10.0, 257)])
+    def test_retry_then_error_on_persistent_drift(self, monkeypatch, Omega, gamma, t_end, n):
+        monkeypatch.setattr(cumulant, "DET_DRIFT_TOL", 0.0)
+        p = NonlinearParams(Omega=Omega, J=1.0, gamma=gamma)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConvergenceError, match="persists after retry"):
+                integrate_cumulant(p, t_end, n)
+        assert len(caught) == 1
+        assert caught[0].category is RuntimeWarning
+        assert "determinant drift" in str(caught[0].message)
+        assert "re-integrating" in str(caught[0].message)
+
+    def test_non_finite_rhs_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(cumulant, "cumulant_rhs", lambda t, y, p: np.full(8, np.nan))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConvergenceError, match="non-finite"):
+                integrate_cumulant(NonlinearParams(), 1.0, 11)
+        assert not caught
+
+    def test_failed_integration_is_an_error(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConvergenceError, match="cumulant integration failed"):
+                integrate_cumulant(NonlinearParams(Omega=1e200, J=1.0, gamma=0.5), 40.0)
+        assert not caught
 
 
 class TestSteadyState:
