@@ -84,8 +84,9 @@ class Scenario:
 _KEYS = {f.name: f.type for f in fields(Scenario)}
 
 
-def parse_scenario(path) -> Scenario:
-    """Parse a flat key = value scenario file."""
+def parse_scenario(path, **overrides) -> Scenario:
+    """Parse a flat key = value scenario file; ``overrides`` that are not
+    None replace its values before any check."""
     raw = {}
     try:
         with open(path) as fh:
@@ -107,6 +108,7 @@ def parse_scenario(path) -> Scenario:
         except ValueError:
             raise ConfigError(f"bad value for {key!r}: {value!r}", line=ln)
 
+    raw.update({k: v for k, v in overrides.items() if v is not None})
     if "coupling" not in raw:
         raise ConfigError("missing required key 'coupling'")
     sc = Scenario(**raw)
@@ -117,8 +119,13 @@ def parse_scenario(path) -> Scenario:
     strength, other = ("g", "J") if sc.coupling == "linear" else ("J", "g")
     if getattr(sc, strength) is None or getattr(sc, other) is not None:
         raise ConfigError(f"{sc.coupling} coupling requires {strength} (and no {other})")
+    if sc.n_samples < 2:
+        raise ConfigError(f"n_samples must be at least 2, got {sc.n_samples}")
+    if not (math.isfinite(sc.t_end) and sc.t_end > 0):
+        raise ConfigError(f"t_end must be finite and positive, got {sc.t_end:g}")
     try:
         sc.params()
+        focksim.FockConfig(cutoff_a=sc.cutoff_a, cutoff_b=sc.cutoff_b)
     except CvBatteryError as exc:
         raise ConfigError(str(exc))
     sweep_keys = {k for k in raw if k.startswith("sweep_")}
@@ -204,10 +211,12 @@ def _optima(m):
 
 def _linear_optima(ps):
     """Closed-form (t_E, E_tE, t_P, P_tP) of each point of ``ps``, with every
-    t_P and P_tP from one ``linear.power_optima`` solve."""
-    t_p, p_tp = linear.power_optima(ps)
-    return [(linear.optimal_time_energy(p), linear.optimal_energy(p), float(tp), float(pp))
-            for p, tp, pp in zip(ps, t_p, p_tp)]
+    driven point's t_P and P_tP from one ``linear.power_optima`` solve.  An
+    undriven point stores no energy, and its row is 0, 0, 0, 0, as a sampled
+    route gives it."""
+    power = zip(*linear.power_optima([p for p in ps if p.Omega > 0]))
+    return [(linear.optimal_time_energy(p), linear.optimal_energy(p),
+             *map(float, next(power))) if p.Omega > 0 else (0.0,) * 4 for p in ps]
 
 
 def _series_min_uncertainty(t, energy):
@@ -455,13 +464,8 @@ def main(argv=None) -> int:
                 print(p)
             return 0
         # run
-        sc = parse_scenario(args.scenario)
-        if args.samples is not None:
-            sc.n_samples = args.samples
-        if args.t_end is not None:
-            sc.t_end = args.t_end
-        if args.route is not None:
-            sc.route = args.route
+        sc = parse_scenario(args.scenario, n_samples=args.samples, t_end=args.t_end,
+                            route=args.route)
         if args.out is None:
             write_run_csv(sc, sys.stdout)
         else:

@@ -12,15 +12,15 @@ flat index n_a * cutoff_b + n_b.
 The propagation runs in real arithmetic, in the frame R = V'rho V with
 V = diag(i^n_a).  Every Hamiltonian term of both couplings changes n_a by
 exactly one and has a real Fock-basis coefficient, and V'aV = i a, so V'HV is
-i times a real matrix and the commutator part of the Liouvillian turns real;
-the dissipator D[a] is unchanged, as V commutes with a'a and a R a' picks up
-i * (-i) = 1.  The change of frame multiplies the vec(rho) entry (k, l) by
-i^(n_a(l) - n_a(k)), and multiplying by a power of i is exact in floating
-point, so the frame costs no accuracy.  A real start (the vacuum, any
-Fock-diagonal state) gives a real R at all times.  R is also Hermitian, and
-a real Liouvillian maps its real symmetric and real antisymmetric parts to
-themselves, so only the upper triangle of each is propagated: about half the
-entries, under an operator with about half the nonzeros.
+i times a real matrix and the Liouvillian of R, built on the kets that the
+start reaches (``_folded_problem``), is real; D[a] keeps its form, as V
+commutes with a'a and a R a' picks up i * (-i) = 1.  The change of frame
+multiplies the vec(rho) entry (k, l) by i^(n_a(l) - n_a(k)), which is exact
+in floating point.  A real start (the vacuum, any Fock-diagonal state) gives
+a real R at all times.  R is also Hermitian, and a real Liouvillian maps its
+real symmetric and real antisymmetric parts to themselves, so only the upper
+triangle of each is propagated: about half the entries, under an operator
+with about half the nonzeros.
 """
 
 from dataclasses import dataclass, replace
@@ -28,9 +28,10 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-# scipy's CSR product kernel and its (degree, step count) selection: the
-# package's only private scipy imports, pinned by the bit-identity tests of
-# ``expm_multiply`` and by the scipy version bound in pyproject.toml
+# scipy's CSR product kernel (also the step of ``_sector``) and its (degree,
+# step count) selection: the package's only private scipy imports, pinned by
+# the bit-identity tests of ``expm_multiply`` and by the scipy version bound
+# in pyproject.toml
 from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg._expm_multiply import LazyOperatorNormInfo, _fragment_3_1
 
@@ -184,38 +185,22 @@ def build_hamiltonian(kind: str, p, c: FockConfig) -> sp.csr_matrix:
     return (coupling + p.Omega * (ad + a)).tocsr()
 
 
-def _liouvillian(H, gamma: float, c: FockConfig) -> sp.csr_matrix:
-    """Superoperator L with vec(drho) = L vec(rho) for C-order vec."""
-    dim = c.cutoff_a * c.cutoff_b
-    eye = sp.identity(dim, format="csr")
-    a, _ = mode_operators(c)
-    ad = a.conj().T
-    n_a = (ad @ a).tocsr()
-    # row-major: vec(A X B) = (A kron B^T) vec(X)
-    L = 1j * (sp.kron(eye, H.T) - sp.kron(H, eye))
-    L += gamma / 2.0 * (
-        2.0 * sp.kron(a, a.conj())
-        - sp.kron(n_a, eye)
-        - sp.kron(eye, n_a.T)
-    )
-    return L.tocsr()
-
-
 class FockTrajectory:
     """Sampled density-matrix trajectory on the truncated product space.
 
     The propagator advances only the half of vec(rho) that determines the
-    rest, and only the entries of that half that the initial state reaches
-    (``_folded_problem``).  In the frame R = V'rho V (module docstring), R
-    is Hermitian, R = S + iA with S real symmetric and A real antisymmetric,
-    and ``sector_states``, a real (n_samples, sector.size) stack, holds S on
-    k <= l and A on k < l.  Column j holds entry ``sector[j]`` = k * dim + l
-    of S or of A: rho[k, l] gets phase[j] * sector_states[:, j] from it and
-    rho[l, k] the conjugate, with ``phase`` a power of i per column.  Every
-    other entry is zero at all times.  Every observable is read from the half
-    stack in one batched pass without leaving the frame; ``states``
-    (n_samples, dim^2) and ``rhos`` (n_samples, dim, dim) unfold it into
-    full-space arrays of rho, built anew on each access.
+    rest, and only the entries of that half that the initial state reaches,
+    all between kets that it reaches under H and a (``_folded_problem``).
+    In the frame R = V'rho V (module docstring), R is Hermitian, R = S + iA
+    with S real symmetric and A real antisymmetric, and ``sector_states``, a
+    real (n_samples, sector.size) stack, holds S on k <= l and A on k < l.
+    Column j holds entry ``sector[j]`` = k * dim + l of S or of A: rho[k, l]
+    gets phase[j] * sector_states[:, j] from it and rho[l, k] the conjugate,
+    with ``phase`` a power of i per column.  Every other entry is zero at all
+    times.  Every observable is read from the half stack in one batched pass
+    without leaving the frame; ``states`` (n_samples, dim^2) and ``rhos``
+    (n_samples, dim, dim) unfold it into full-space arrays of rho, built anew
+    on each access.
     """
 
     def __init__(self, times, sector_states, sector, phase, params, config, cutoff_ok):
@@ -313,19 +298,18 @@ def vacuum_state(c: FockConfig) -> np.ndarray:
 
 
 def _sector(L, v0: np.ndarray) -> np.ndarray:
-    """Sorted indices of the vec(rho) entries that exp(L t) v0 can make
-    nonzero: the support of v0 closed under the sparsity pattern of the CSR
-    matrix L.
+    """Sorted indices that exp(L t) v0 can make nonzero: the support of v0
+    closed under the sparsity pattern of the CSR matrix L.
 
-    The span of these entries is invariant under L, so propagating L
-    restricted to them is exact.  With nonlinear coupling the parity of the
-    battery number is conserved, and a vacuum start stays in the even-even
-    parity block; linear coupling from vacuum reaches the whole space.
+    The span of these indices is invariant under L, so restricting L to them
+    is exact.
     """
-    pattern = sp.csr_matrix((np.ones(L.nnz), L.indices, L.indptr), shape=L.shape)
-    reached = v0 != 0
+    n, ones = L.shape[0], np.ones(L.nnz)
+    reached = (v0 != 0).astype(float)
     while True:
-        grown = reached | (pattern @ reached.astype(float) > 0)
+        grown = reached.copy()
+        csr_matvec(n, n, L.indptr, L.indices, ones, reached, grown)  # += pattern @ reached
+        grown = (grown > 0).astype(float)
         if np.array_equal(grown, reached):
             return np.flatnonzero(reached)
         reached = grown
@@ -338,28 +322,16 @@ def _frame_phase(sector, c: FockConfig) -> np.ndarray:
     return _POWERS_OF_I[(k // c.cutoff_b - l // c.cutoff_b) % 4]
 
 
-def _sector_liouvillian(kind: str, p, c: FockConfig, v0: np.ndarray):
-    """(L, sector, phase): the Liouvillian restricted to the sector that v0
-    reaches (see ``_sector``) and taken to the frame R = V'rho V, that is,
-    conj(phase) L phase entry by entry, where vec(rho)[sector] =
-    phase * vec(R)[sector].  Each factor is a power of i, so the entries are
-    exact; L keeps its complex dtype, and ``_folded_problem`` checks that its
-    imaginary part is zero before it folds L."""
-    L = _liouvillian(build_hamiltonian(kind, p, c), p.gamma, c)
-    sector = _sector(L, v0)
-    phase = _frame_phase(sector, c)
-    L = L[sector][:, sector]
-    rows = np.repeat(np.arange(sector.size), np.diff(L.indptr))
-    L.data *= phase.conj()[rows] * phase[L.indices]
-    return L, sector, phase
-
-
 def _folded_problem(kind: str, p, c: FockConfig, v0: np.ndarray):
     """(M, x0, sector, phase): the real linear problem dx/dt = M x that
     ``evolve`` propagates, for the start vec(rho0) = v0.
 
-    R = V'rho V is Hermitian, and in the frame the sector Liouvillian L is
-    real, so L maps the real part S and the imaginary part A of R = S + iA to
+    Every entry (k, l) of rho that the start reaches has k and l among the
+    rows of rho0's support closed under H and a (``_sector``), so restricting
+    the master equation to these kets is exact.  On them V'HV = iY with Y
+    real (module docstring; ``InvalidInputError`` if V'HV has a real part),
+    so the Liouvillian of R = V'rho V, L = Y x 1 - 1 x Y^T + (gamma/2)(2 a x a
+    - n_a x 1 - 1 x n_a), is real and maps S and A of R = S + iA to
     themselves: S is symmetric and lives on the entries (k, l) with k <= l,
     A is antisymmetric and lives on k < l.  x stacks those halves, [S; A],
     and M = block-diag(L[S rows] E_S, L[A rows] E_A), where E_S copies each
@@ -367,17 +339,32 @@ def _folded_problem(kind: str, p, c: FockConfig, v0: np.ndarray):
     and x0 are then restricted to the entries that x0 reaches (``_sector``);
     for a real start, A vanishes, and so does its block.  Column j of the
     stack holds entry ``sector[j]`` = k * dim + l: rho[k, l] gets
-    phase[j] * x[j] from it and rho[l, k] the conjugate, so phase is i^(n_a(k)
-    - n_a(l)) on S and i times that on A.  Raises ``InvalidInputError`` if L
-    is not real in the frame.
+    phase[j] * x[j] from it and rho[l, k] the conjugate, so phase is
+    i^(n_a(k) - n_a(l)) on S and i times that on A.
     """
-    L, sector, phase = _sector_liouvillian(kind, p, c, v0)
-    if np.any(L.data.imag):
-        raise InvalidInputError(f"{kind} Liouvillian is not real in the i^n_a frame")
-    L = L.real
     dim = c.cutoff_a * c.cutoff_b
+    H = build_hamiltonian(kind, p, c)
+    a, _ = mode_operators(c)
+    kets = _sector(abs(H) + abs(a), v0.reshape(dim, dim).any(axis=1))
+    level_a = kets // c.cutoff_b
+    H = H[kets][:, kets]
+    rows = np.repeat(np.arange(kets.size), np.diff(H.indptr))
+    H.data *= _POWERS_OF_I[(level_a[H.indices] - level_a[rows]) % 4]  # V'HV, exactly
+    if np.any(H.data.real):
+        raise InvalidInputError(f"{kind} Liouvillian is not real in the i^n_a frame: "
+                                "V'HV has a real part")
+    Y = H.imag
+    a = a[kets][:, kets].real
+    n_a = a.T @ a
+    eye = sp.identity(kets.size, format="csr")
+    # row-major: vec(A X B) = (A kron B^T) vec(X)
+    L = sp.kron(Y, eye) - sp.kron(eye, Y.T)
+    L += p.gamma / 2.0 * (2.0 * sp.kron(a, a) - sp.kron(n_a, eye) - sp.kron(eye, n_a))
+    L = L.tocsr()
+    sector = (kets[:, None] * dim + kets).ravel()
+    phase = _frame_phase(sector, c)
     k, l = np.divmod(sector, dim)
-    mirror = np.searchsorted(sector, l * dim + k)  # the sector is transpose-closed
+    mirror = np.searchsorted(sector, l * dim + k)  # kets x kets is transpose-closed
     lower = np.flatnonzero(k > l)
 
     def fold(half, sign):
@@ -433,33 +420,38 @@ def evolve(
 ) -> FockTrajectory:
     """Propagate the rotated-frame master equation and sample uniformly.
 
-    The Liouvillian is time independent, so the evolution is computed as
-    the exact action of the matrix exponential by ``expm_multiply``, this
+    The Liouvillian is time independent, so the evolution is computed as the
+    exact action of the matrix exponential by ``expm_multiply``, this
     module's Al-Mohy/Higham propagator, which advances each sample from the
     one before by Taylor-series sub-steps, accurate to machine precision
     with no tolerance to set, and which leaves numpy's global RNG as it
     found it.  The state is propagated as R = V'rho V with V = diag(i^n_a),
-    where the Liouvillian is a real matrix (module docstring), and only
-    through the half of R that fixes the rest: the real symmetric part on
-    k <= l and the real antisymmetric part on k < l, each under its own
-    folded real operator, and of those only the entries that the initial
-    state reaches (``_folded_problem``).  ``expm_multiply`` so gets a
-    float64 matrix and a float64 start vector for every start; a real start,
-    such as the vacuum or a Fock-diagonal state, has no antisymmetric part,
-    and that half drops out.  Raises if the Liouvillian is not real in the
-    frame, so there is no silent complex fallback.  Starts from the two-mode
-    vacuum unless ``initial_state`` is given: a dim x dim matrix that must
-    pass ``check_density_matrix`` (``InvalidInputError`` otherwise, so a
-    non-finite entry is refused before it is propagated).  Sets ``cutoff_ok = False`` when, at any
-    sample, the highest level of either mode that the propagated entries
-    contain is populated beyond ``TOP_LEVEL_TOL``.  ``validate`` unfolds
-    every sample and checks it with ``check_density_matrix`` on the
-    principal block of R that the propagated kets span: rho vanishes outside
-    it, and V is unitary, so that block is a density matrix exactly when rho
-    is.
+    on the kets that the start reaches under H and a, where the Liouvillian
+    is a real matrix (module docstring), and only through the half of R that
+    fixes the rest: the real symmetric part on k <= l and the real
+    antisymmetric part on k < l, each under its own folded real operator,
+    and of those only the entries that the initial state reaches
+    (``_folded_problem``).  ``expm_multiply`` so gets a float64 matrix and a
+    float64 start vector for every start; a real start, such as the vacuum
+    or a Fock-diagonal state, has no antisymmetric part, and that half drops
+    out.  Raises ``InvalidInputError`` if V'HV has a real part, so there is
+    no silent complex fallback.  Starts from the two-mode vacuum unless
+    ``initial_state`` is given: a dim x dim matrix that must pass
+    ``check_density_matrix`` (``InvalidInputError`` otherwise, so a
+    non-finite entry is refused before it is propagated).  ``t_end`` must be
+    finite and positive.
+
+    Sets ``cutoff_ok = False`` when, at any sample, the highest level of
+    either mode that the propagated entries contain is populated beyond
+    ``TOP_LEVEL_TOL`` and lies within two levels of that mode's cutoff
+    (b'b' moves n_b by two): below that, the evolution never left it.
+    ``validate`` unfolds every sample and checks it with
+    ``check_density_matrix`` on the principal block of R that the
+    propagated kets span: rho vanishes outside it, and V is unitary, so that
+    block is a density matrix exactly when rho is.
     """
-    if t_end <= 0:
-        raise InvalidInputError("t_end must be positive")
+    if not (np.isfinite(t_end) and t_end > 0):
+        raise InvalidInputError("t_end must be finite and positive")
     if n_samples < 2:
         raise InvalidInputError("need at least 2 samples")
     dim = c.cutoff_a * c.cutoff_b
@@ -484,8 +476,10 @@ def evolve(
     diag = np.flatnonzero(kets == bras)  # populations: S entries with phase 1
     pop = out[:, diag]
     cutoff_ok = not any(
-        np.any(pop[:, level == level.max()].sum(axis=1) > TOP_LEVEL_TOL)
-        for level in np.divmod(kets[diag], c.cutoff_b)  # n_a, n_b
+        level.max() >= cutoff - 2
+        and np.any(pop[:, level == level.max()].sum(axis=1) > TOP_LEVEL_TOL)
+        for level, cutoff in zip(np.divmod(kets[diag], c.cutoff_b),  # n_a, n_b
+                                 (c.cutoff_a, c.cutoff_b))
     )
     if validate:
         basis = np.union1d(kets, bras)

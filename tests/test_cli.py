@@ -211,6 +211,47 @@ def test_any_sweep_file_exits_cleanly(tmp_path, capsys, coupling, route, gamma, 
         assert err.startswith("error: ")
 
 
+@settings(deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    coupling=st.sampled_from(["linear", "nonlinear"]),
+    route=st.sampled_from(["analytic", "cumulant", "perturbation", "fock"]),
+    n_samples=st.sampled_from([-3, 0, 1, 2, 9]),
+    t_end=st.sampled_from(["nan", "inf", "-inf", "-1.0", "0.0", "1e-3", "2.0"]),
+    cutoff_a=st.sampled_from([-1, 0, 1, 2, 3]),
+    cutoff_b=st.sampled_from([-1, 0, 1, 2, 3]),
+    override=st.sampled_from([None, "--samples", "--t-end"]),
+)
+def test_any_run_length_exits_cleanly(tmp_path, capsys, coupling, route, n_samples, t_end,
+                                      cutoff_a, cutoff_b, override):
+    """Sample counts, end times and cutoffs that may be invalid, in the file
+    or on the command line: ``run`` returns 0, 2 or 3 with at most one line
+    on stderr, never raises, and writes the output file only when it
+    succeeds; an invalid value is a config error."""
+    strength = "g = 0.5" if coupling == "linear" else "J = 1.0"
+    text = (f"coupling = {coupling}\nroute = {route}\nOmega = 0.1\ngamma = 0.5\n"
+            f"{strength}\ncutoff_a = {cutoff_a}\ncutoff_b = {cutoff_b}\n")
+    if override == "--samples":
+        text += f"t_end = {t_end}\n"
+        flags = [f"--samples={n_samples}"]
+    elif override == "--t-end":
+        text += f"n_samples = {n_samples}\n"
+        flags = [f"--t-end={t_end}"]  # "-inf" alone would read as an option
+    else:
+        text += f"n_samples = {n_samples}\nt_end = {t_end}\n"
+        flags = []
+    out = tmp_path / "out.csv"
+    out.unlink(missing_ok=True)
+    code = cli.main(["run", str(write_scenario(tmp_path, text)), *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    valid = n_samples >= 2 and 0 < float(t_end) < math.inf and min(cutoff_a, cutoff_b) >= 2
+    assert code in ((0, 3) if valid else (2,))
+    assert err.count("\n") <= 1
+    assert out.exists() == (code == 0)
+    if code == 2:
+        assert err.startswith("config error: ")
+
+
 class TestRunCommand:
     def test_linear_run_csv(self, tmp_path, capsys):
         path = write_scenario(tmp_path, LINEAR_SCENARIO)
@@ -243,13 +284,15 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_failed_run_writes_no_file(self, tmp_path, capsys, existing):
-        # the power optimum of an undriven linear battery fails at run time
-        path = write_scenario(tmp_path, LINEAR_SCENARIO.replace("Omega = 0.1", "Omega = 0"))
+        # the cumulant integration of an absurd drive fails at run time
+        path = write_scenario(tmp_path, NONLINEAR_SCENARIO.replace(
+            "Omega = 0.25", "Omega = 1e200"))
         out = tmp_path / "out.csv"
         if existing:
             out.write_text("kept\n")
         assert cli.main(["run", str(path), "--out", str(out)]) == 3
-        assert capsys.readouterr().err == "error: power optimum requires Omega > 0\n"
+        err = capsys.readouterr().err
+        assert err.startswith("error: cumulant integration failed") and err.count("\n") == 1
         if existing:
             assert out.read_text() == "kept\n"
         else:
@@ -459,8 +502,23 @@ class TestRunCommand:
         if not override:
             text = text.replace("n_samples = 101", "n_samples = 1")
         argv = ["run", str(write_scenario(tmp_path, text))]
-        assert cli.main(argv + (["--samples", "1"] if override else [])) == 3
-        assert capsys.readouterr().err == "error: need at least 2 samples\n"
+        assert cli.main(argv + (["--samples", "1"] if override else [])) == 2
+        assert capsys.readouterr().err == "config error: n_samples must be at least 2, got 1\n"
+
+    @pytest.mark.parametrize("coupling", ["linear", "nonlinear"])
+    def test_undriven_run_stores_nothing(self, tmp_path, capsys, coupling):
+        # every route that applies gives the optima row 0,0,0,0, and the
+        # Fock route at the default cutoffs does not warn
+        text = (LINEAR_SCENARIO if coupling == "linear" else NONLINEAR_SCENARIO).replace(
+            "Omega = 0.1", "Omega = 0").replace("Omega = 0.25", "Omega = 0")
+        path = write_scenario(tmp_path, text)
+        assert cli.main(["run", str(path), "--route", "all", "--samples", "9"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = out.split("route,t_E,E_tE,t_P,P_tP\n")[1].splitlines()
+        assert sorted(rows) == sorted(
+            f"{r},0,0,0,0" if cli._ROUTE_COUPLING.get(r, coupling) == coupling else f"{r},,,,"
+            for r in cli.ROUTES[:-1])
 
 
 class TestFigureCommand:

@@ -30,9 +30,7 @@ from cvbattery.focksim import (
     reduced_battery_state,
     vacuum_state,
     _folded_problem,
-    _liouvillian,
-    _sector,
-    _sector_liouvillian,
+    _unfold,
 )
 from cvbattery.gaussian import MomentState
 from cvbattery.linear import LinearParams, energy_linear
@@ -42,17 +40,18 @@ CFG = FockConfig(cutoff_a=6, cutoff_b=6)
 
 
 def lindblad_rhs(rho: np.ndarray, H, gamma: float, c: FockConfig) -> np.ndarray:
-    """i[rho, H] + (gamma/2)(2 a rho a' - a'a rho - rho a'a): the master
-    equation written out, the oracle of ``_liouvillian``."""
+    """i[rho, H] + (gamma/2)(2 a rho a' - a'a rho - rho a'a), on one matrix
+    or a stack of them: the master equation written out with dense
+    operators, the oracle of the operator that ``evolve`` propagates."""
     dim = c.cutoff_a * c.cutoff_b
-    if rho.shape != (dim, dim):
+    if rho.shape[-2:] != (dim, dim):
         raise InvalidInputError(f"density matrix shape {rho.shape} != ({dim}, {dim})")
-    a, _ = mode_operators(c)
+    a, H = mode_operators(c)[0].toarray(), H.toarray()
     ad = a.conj().T
     n_a = ad @ a
     drho = 1j * (rho @ H - H @ rho)
     drho += gamma / 2.0 * (2.0 * (a @ rho @ ad) - n_a @ rho - rho @ n_a)
-    return np.asarray(drho)
+    return drho
 
 
 class TestOperators:
@@ -125,18 +124,6 @@ class TestLindblad:
         assert abs(np.trace(drho)) < 1e-12
         assert np.max(np.abs(drho - drho.conj().T)) < 1e-12
 
-    def test_liouvillian_matches_rhs(self):
-        p = NonlinearParams(Omega=0.25, J=1.0, gamma=0.5)
-        H = build_hamiltonian("nonlinear", p, CFG)
-        L = _liouvillian(H, p.gamma, CFG)
-        rng = np.random.default_rng(4)
-        m = rng.normal(size=(36, 36)) + 1j * rng.normal(size=(36, 36))
-        rho = m @ m.conj().T
-        rho /= np.trace(rho)
-        direct = lindblad_rhs(rho, H, p.gamma, CFG)
-        via_super = (L @ rho.reshape(-1)).reshape(36, 36)
-        assert np.max(np.abs(direct - via_super)) < 1e-12
-
     def test_rhs_shape_validated(self):
         H = build_hamiltonian("linear", LinearParams(g=1.0), CFG)
         with pytest.raises(InvalidInputError):
@@ -176,6 +163,25 @@ class TestEvolve:
         assert np.max(pop_b[:, 3]) == 0.0
         assert np.max(pop_b[:, 2]) > 1e-2
         assert not traj.cutoff_ok
+
+    @pytest.mark.parametrize("kind,p,cfg,start", [
+        ("linear", LinearParams(Omega=0.0, g=0.5, gamma=1.0), FockConfig(4, 4), (0, 0)),
+        ("linear", LinearParams(Omega=0.0, g=0.5, gamma=1.0), FockConfig(8, 12), (0, 0)),
+        ("nonlinear", NonlinearParams(Omega=0.0, J=1.0, gamma=0.5), FockConfig(4, 4),
+         (0, 0)),
+        ("nonlinear", NonlinearParams(Omega=0.0, J=1.0, gamma=0.5), FockConfig(8, 12),
+         (0, 0)),
+        # conserved_charge_drift's start, which only mixes with |0,2>
+        ("nonlinear", NonlinearParams(Omega=0.0, J=1.0, gamma=0.0), FockConfig(4, 6),
+         (1, 0)),
+    ], ids=["linear-undriven-4-4", "linear-undriven-8-12", "nonlinear-undriven-4-4",
+            "nonlinear-undriven-8-12", "conserved-charge-start"])
+    def test_cutoff_flag_holds_where_the_truncation_cannot_act(self, kind, p, cfg, start):
+        # the highest reached levels lie more than two below the cutoffs, so
+        # the evolution never reaches the truncation, however full they are
+        traj = evolve(kind, p, cfg, 5.0, n_samples=9,
+                      initial_state=_fock_state(cfg, *start))
+        assert traj.cutoff_ok
 
     def test_initial_state_validated(self):
         p = NonlinearParams(Omega=0.0, J=1.0, gamma=0.0)
@@ -234,15 +240,16 @@ class TestEvolve:
         assert nb.max() > 1.0
 
     def test_t_end_validated(self):
-        with pytest.raises(InvalidInputError):
-            evolve("linear", LinearParams(g=1.0), CFG, 0.0)
+        for t_end in (0.0, np.nan, np.inf):
+            with pytest.raises(InvalidInputError, match="finite and positive"):
+                evolve("linear", LinearParams(g=1.0), CFG, t_end)
 
     @pytest.mark.parametrize("n_samples", [1, 0])
     def test_fewer_than_two_samples_refused(self, monkeypatch, n_samples):
         def unreachable(*args):
             raise AssertionError("Liouvillian built for an invalid sample count")
 
-        monkeypatch.setattr(focksim, "_sector_liouvillian", unreachable)
+        monkeypatch.setattr(focksim, "_folded_problem", unreachable)
         with pytest.raises(InvalidInputError, match="need at least 2 samples"):
             evolve("nonlinear", NonlinearParams(Omega=0.25, J=1.0, gamma=0.5), CFG,
                    1.0, n_samples=n_samples)
@@ -334,8 +341,11 @@ def test_sector_propagation_matches_full_space(kind, Omega, coupling, gamma, sta
         "full": _random_density_matrix(dim, seed),
     }[start]
     traj = evolve(kind, p, c, 3.0, n_samples=5, initial_state=rho0)
-    L = _liouvillian(build_hamiltonian(kind, p, c), gamma, c).tocsc()
-    ref = expm_multiply(L, rho0.reshape(-1), start=0.0, stop=3.0, num=5, endpoint=True)
+    # the full-space Liouvillian, one column per basis matrix |k><l|
+    basis = np.eye(dim * dim).reshape(-1, dim, dim)
+    L = lindblad_rhs(basis, build_hamiltonian(kind, p, c), gamma, c).reshape(dim * dim, -1).T
+    ref = expm_multiply(sp.csc_matrix(L), rho0.reshape(-1), start=0.0, stop=3.0, num=5,
+                        endpoint=True)
     # the kets reached: all of them, or the even battery numbers when the
     # nonlinear coupling keeps a parity start in its block; a real start
     # propagates the k <= l half of S, a complex one all of S and A
@@ -406,29 +416,64 @@ def propagator_dtypes(monkeypatch):
 @settings(deadline=None, max_examples=40)
 @given(
     st.sampled_from(["linear", "nonlinear"]),
-    st.floats(0.0, 2.0),  # Omega
+    st.one_of(st.just(0.0), st.floats(0.0, 2.0)),  # Omega, undriven half the time
     st.floats(0.05, 2.0),  # g or J
     st.floats(0.0, 2.0),  # gamma
     st.integers(2, 5),  # cutoff_a
     st.integers(2, 5),  # cutoff_b
-    st.sampled_from(["vacuum", "full"]),
+    # a Fock state |n_a, n_b> that the undriven coupling alone does not take
+    # to the kets that the decay of the charger reaches
+    st.sampled_from(["vacuum", "fock", "real", "complex"]),
+    st.integers(0, 2**32 - 1),
 )
-def test_liouvillian_is_real_in_the_frame(kind, Omega, coupling, gamma, ca, cb, start):
+def test_folded_operator_matches_rhs(kind, Omega, coupling, gamma, ca, cb, start, seed):
+    """For any x on the kept columns, M x unfolds to the master equation's
+    right-hand side at the rho that x unfolds to: the operator is real,
+    exact on the kets it is built on, and leaves no entry outside them."""
     c = FockConfig(cutoff_a=ca, cutoff_b=cb)
     if kind == "linear":
         p = LinearParams(Omega=Omega, g=coupling, gamma=gamma)
     else:
         p = NonlinearParams(Omega=Omega, J=coupling, gamma=gamma)
-    v0 = vacuum_state(c).reshape(-1) if start == "vacuum" else np.ones((ca * cb) ** 2)
-    L, sector, phase = _sector_liouvillian(kind, p, c, v0)
-    assert np.count_nonzero(L.data.imag) == 0
-    plain = _liouvillian(build_hamiltonian(kind, p, c), gamma, c)
-    assert np.array_equal(sector, _sector(plain, v0))
-    plain = plain[sector][:, sector]
-    assert L.shape == plain.shape and L.nnz == plain.nnz
-    # the frame multiplies each entry by a power of i, exactly
-    assert np.array_equal(np.abs(L.toarray()), np.abs(plain.toarray()))
+    dim = ca * cb
+    rho0 = {
+        "vacuum": lambda: vacuum_state(c),
+        "fock": lambda: _fock_state(c, 1 + seed % (ca - 1), seed % cb),
+        "real": lambda: np.diag(np.random.default_rng(seed).dirichlet(np.ones(dim))),
+        "complex": lambda: _random_density_matrix(dim, seed),
+    }[start]()
+    M, x0, sector, phase = _folded_problem(kind, p, c, rho0.reshape(-1))
+    assert M.dtype == np.float64 and x0.dtype == np.float64
     assert set(np.unique(phase)) <= {1, 1j, -1, -1j}
+    k, l = np.divmod(sector, dim)
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(1, x0.size))
+    rho = _unfold(x, k, l, phase, dim)[0]
+    drho = _unfold((M @ x[0])[None], k, l, phase, dim)[0]
+    H = build_hamiltonian(kind, p, c)
+    assert np.max(np.abs(drho - lindblad_rhs(rho, H, gamma, c))) < 1e-12
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.sampled_from(["linear", "nonlinear"]),
+    st.floats(1e-3, 2.0),  # Omega
+    st.floats(0.05, 2.0),  # g or J
+    st.floats(0.0, 2.0),  # gamma
+    st.integers(2, 6),  # cutoff_a
+    st.integers(2, 6),  # cutoff_b
+)
+def test_driven_vacuum_reaches_within_two_levels_of_each_cutoff(kind, Omega, coupling,
+                                                                gamma, ca, cb):
+    # so for every driven vacuum run the truncation flag watches the highest
+    # reached level of each mode, whatever the coupling
+    c = FockConfig(cutoff_a=ca, cutoff_b=cb)
+    if kind == "linear":
+        p = LinearParams(Omega=Omega, g=coupling, gamma=gamma)
+    else:
+        p = NonlinearParams(Omega=Omega, J=coupling, gamma=gamma)
+    _, _, sector, _ = _folded_problem(kind, p, c, vacuum_state(c).reshape(-1))
+    n_a, n_b = np.divmod(sector // (ca * cb), cb)
+    assert n_a.max() >= ca - 2 and n_b.max() >= cb - 2
 
 
 def test_real_starts_propagate_in_real_arithmetic(propagator_dtypes):
