@@ -30,6 +30,8 @@ from cvbattery.focksim import (
     reduced_battery_state,
     vacuum_state,
     _folded_problem,
+    _frame_phase,
+    _sector,
     _unfold,
 )
 from cvbattery.gaussian import MomentState
@@ -52,6 +54,15 @@ def lindblad_rhs(rho: np.ndarray, H, gamma: float, c: FockConfig) -> np.ndarray:
     drho = 1j * (rho @ H - H @ rho)
     drho += gamma / 2.0 * (2.0 * (a @ rho @ ad) - n_a @ rho - rho @ n_a)
     return drho
+
+
+def _full_liouvillian(kind, p, c: FockConfig) -> np.ndarray:
+    """The dense full-space Liouvillian of ``lindblad_rhs``, one column per
+    basis matrix |k><l|, in the row-major vec(rho) order."""
+    dim = c.cutoff_a * c.cutoff_b
+    basis = np.eye(dim * dim).reshape(-1, dim, dim)
+    H = build_hamiltonian(kind, p, c)
+    return lindblad_rhs(basis, H, p.gamma, c).reshape(dim * dim, -1).T
 
 
 class TestOperators:
@@ -123,6 +134,23 @@ class TestLindblad:
         drho = lindblad_rhs(rho, H, p.gamma, CFG)
         assert abs(np.trace(drho)) < 1e-12
         assert np.max(np.abs(drho - drho.conj().T)) < 1e-12
+
+    def test_liouvillian_matches_rhs(self):
+        # the operator that evolve propagates, on a full-rank complex start,
+        # where it keeps every entry of rho
+        p = NonlinearParams(Omega=0.25, J=1.0, gamma=0.5)
+        H = build_hamiltonian("nonlinear", p, CFG)
+        rng = np.random.default_rng(4)
+        m = rng.normal(size=(36, 36)) + 1j * rng.normal(size=(36, 36))
+        rho = m @ m.conj().T
+        rho /= np.trace(rho)
+        M, x0, sector, phase = _folded_problem("nonlinear", p, CFG, rho.reshape(-1))
+        assert x0.size == 36 * 36
+        k, l = np.divmod(sector, 36)
+        assert np.max(np.abs(_unfold(x0[None], k, l, phase, 36)[0] - rho)) < 1e-15
+        direct = lindblad_rhs(rho, H, p.gamma, CFG)
+        via_super = _unfold((M @ x0)[None], k, l, phase, 36)[0]
+        assert np.max(np.abs(direct - via_super)) < 1e-12
 
     def test_rhs_shape_validated(self):
         H = build_hamiltonian("linear", LinearParams(g=1.0), CFG)
@@ -341,10 +369,7 @@ def test_sector_propagation_matches_full_space(kind, Omega, coupling, gamma, sta
         "full": _random_density_matrix(dim, seed),
     }[start]
     traj = evolve(kind, p, c, 3.0, n_samples=5, initial_state=rho0)
-    # the full-space Liouvillian, one column per basis matrix |k><l|
-    basis = np.eye(dim * dim).reshape(-1, dim, dim)
-    L = lindblad_rhs(basis, build_hamiltonian(kind, p, c), gamma, c).reshape(dim * dim, -1).T
-    ref = expm_multiply(sp.csc_matrix(L), rho0.reshape(-1), start=0.0, stop=3.0, num=5,
+    ref = expm_multiply(sp.csc_matrix(_full_liouvillian(kind, p, c)), rho0.reshape(-1), start=0.0, stop=3.0, num=5,
                         endpoint=True)
     # the kets reached: all of them, or the even battery numbers when the
     # nonlinear coupling keeps a parity start in its block; a real start
@@ -451,6 +476,44 @@ def test_folded_operator_matches_rhs(kind, Omega, coupling, gamma, ca, cb, start
     drho = _unfold((M @ x[0])[None], k, l, phase, dim)[0]
     H = build_hamiltonian(kind, p, c)
     assert np.max(np.abs(drho - lindblad_rhs(rho, H, gamma, c))) < 1e-12
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from(["linear", "nonlinear"]),
+    st.floats(0.0, 2.0),  # Omega
+    st.floats(0.05, 2.0),  # g or J
+    st.floats(0.0, 2.0),  # gamma
+    st.integers(2, 5),  # cutoff_a
+    st.integers(2, 5),  # cutoff_b
+    st.sampled_from(["vacuum", "full"]),
+)
+def test_liouvillian_is_real_in_the_frame(kind, Omega, coupling, gamma, ca, cb, start):
+    """In the frame R = V'rho V the full-space Liouvillian is real on the
+    entries the start reaches, the frame multiplies each of its entries by a
+    power of i, and the folded operator keeps exactly those entries: the
+    k <= l half of them for a real start, and the k < l half once more for
+    a complex one."""
+    c = FockConfig(cutoff_a=ca, cutoff_b=cb)
+    if kind == "linear":
+        p = LinearParams(Omega=Omega, g=coupling, gamma=gamma)
+    else:
+        p = NonlinearParams(Omega=Omega, J=coupling, gamma=gamma)
+    dim = ca * cb
+    rho0 = vacuum_state(c) if start == "vacuum" else _random_density_matrix(dim, 5)
+    M, x0, sector, phase = _folded_problem(kind, p, c, rho0.reshape(-1))
+    assert M.dtype == np.float64 and x0.dtype == np.float64
+    assert set(np.unique(phase)) <= {1, 1j, -1, -1j}
+    plain = _full_liouvillian(kind, p, c)
+    full_phase = _frame_phase(np.arange(dim * dim), c)
+    framed = full_phase.conj()[:, None] * plain * full_phase
+    assert np.array_equal(np.abs(framed), np.abs(plain))
+    reached = _sector(sp.csr_matrix(plain), rho0.reshape(-1))
+    assert np.count_nonzero(framed[reached][:, reached].imag) == 0
+    k, l = np.divmod(reached, dim)
+    upper = reached[k <= l]
+    kept = upper if start == "vacuum" else np.r_[upper, reached[k < l]]
+    assert np.array_equal(sector, kept)
 
 
 @settings(deadline=None, max_examples=30)
