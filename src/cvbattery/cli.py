@@ -28,6 +28,7 @@ ROUTES = ("analytic", "cumulant", "perturbation", "fock", "all")
 # the one coupling a route applies to; routes not listed apply to both
 _ROUTE_COUPLING = {"analytic": "linear", "cumulant": "nonlinear", "perturbation": "nonlinear"}
 _FIELDS = ("energy", "power", "ergotropy", "var_x", "var_p", "det")
+_OPTIMA = ("t_E", "E_tE", "t_P", "P_tP")  # the optima columns, in this order
 
 
 def _cell(x):
@@ -39,11 +40,32 @@ def _cell(x):
     return format(x, ".15g")
 
 
+# the ``%`` spec of each cell type whose text under it is ``_cell``'s; any
+# other type gets one that prints "nan", so that its row is made cell by cell
+_CELL_SPECS = {str: "%s", type(None): "%.0s", float: "%.15g", int: "%.15g"}
+
+
 def _write_csv(out, comments, header, rows):
-    """``# comment`` lines, the header and one line per row of cells."""
-    lines = [f"# {c}\n" for c in comments] + [",".join(header) + "\n"]
-    lines += [",".join(map(_cell, row)) + "\n" for row in rows]
-    out.write("".join(lines))
+    """``# comment`` lines, the header and one line per row of cells, each
+    ``",".join(map(_cell, row))``.
+
+    Each row is formatted by one ``%`` string, made once per combination of
+    cell types (``_CELL_SPECS``).  A NaN float comes out as "nan" there, so
+    a line that holds "nan" (a NaN cell, text containing it, or a cell of
+    another type) is made again cell by cell.  Callers pass None rather than
+    NaN for the cells they know are empty, and Python numbers rather than
+    numpy scalars.
+    """
+    out.write("".join(f"# {c}\n" for c in comments) + ",".join(header) + "\n")
+    formats = {}
+    for row in rows:
+        kinds = tuple(map(type, row))
+        if kinds not in formats:
+            formats[kinds] = ",".join(_CELL_SPECS.get(k, "nan%.0s") for k in kinds) + "\n"
+        line = formats[kinds] % tuple(row)
+        if "nan" in line:
+            line = ",".join(map(_cell, row)) + "\n"
+        out.write(line)
 
 
 @dataclass
@@ -271,12 +293,11 @@ def write_run_csv(sc: Scenario, out):
 
     results = {r: _route_series(sc, r) for r in routes}
     comments += [f"note: route {r}: {note}" for r, (_, _, note) in results.items() if note]
-    suffix = (lambda r: "") if len(routes) == 1 else (lambda r: f"_{r}")
-    header = ["t"] + [f"{f}{suffix(r)}" for r in routes for f in _FIELDS]
-    columns = [sc.times()] + [results[r][0][f] for r in routes for f in _FIELDS]
-    _write_csv(out, comments, header, np.column_stack(columns).tolist())
+    header = ["t"] + [f"{f}_{r}" if len(routes) > 1 else f for r in routes for f in _FIELDS]
+    table = np.column_stack([sc.times()] + [results[r][0][f] for r in routes for f in _FIELDS])
+    _write_csv(out, comments, header, np.where(np.isnan(table), None, table).tolist())
     out.write("\n")
-    _write_csv(out, [], ["route", "t_E", "E_tE", "t_P", "P_tP"],
+    _write_csv(out, [], ["route", *_OPTIMA],
                [(r, *(results[r][1] or (None,) * 4)) for r in routes])
 
 
@@ -288,7 +309,7 @@ def _write_sweep_csv(sc: Scenario, out, comments):
     comments = comments + [f"sweep {param} {sc.sweep_scale} over "
                            f"[{_cell(lo)}, {_cell(hi)}] with {n} points"]
     _write_csv(out, comments,
-               [param, "t_E", "E_tE", "t_P", "P_tP", "energy_ss", "ergotropy_ss"], rows)
+               [param, *_OPTIMA, "energy_ss", "ergotropy_ss"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +325,8 @@ def _figure_csv(outdir, name, comment, header, rows):
 
 def _figure_fig1c(outdir):
     rows = []
-    for r in np.logspace(-2, 2, 801):
-        qs = cumulant.steady_variances(cumulant.NonlinearParams(Omega=float(r), J=1.0))
+    for r in np.logspace(-2, 2, 801).tolist():
+        qs = cumulant.steady_variances(cumulant.NonlinearParams(Omega=r, J=1.0))
         rows.append((r, qs.var_x, qs.var_p))
     return [_figure_csv(outdir, "fig1c_steady_variances.csv",
                         "steady-state battery quadrature variances vs Omega/J (nonlinear)",
@@ -322,16 +343,16 @@ def _figure_fig2(outdir):
         outdir, "fig2_ad_timeseries.csv",
         f"linear battery, g=gamma/2, Omega=gamma/10, gamma={_cell(gamma)}",
         ["t", "energy", "power"],
-        [(ti, ei, None if ti == 0 else ei / ti) for ti, ei in zip(t, e)])
+        [(ti, ei, None if ti == 0 else ei / ti) for ti, ei in zip(t.tolist(), e.tolist())])
     # panels (b, c, e, f): optima vs g/gamma
-    ratios = np.logspace(-2, 2, 801)
-    ps = [linear.LinearParams(omega_b=1.0, Omega=0.1, g=float(r) * gamma, gamma=gamma)
+    ratios = np.logspace(-2, 2, 801).tolist()
+    ps = [linear.LinearParams(omega_b=1.0, Omega=0.1, g=r * gamma, gamma=gamma)
           for r in ratios]
     optima = _figure_csv(
         outdir, "fig2_bcef_optima.csv",
         f"linear battery optima vs g/gamma at gamma={_cell(gamma)}, "
         f"Omega={_cell(0.1)}; exceptional point at g/gamma=0.25",
-        ["g_over_gamma", "t_E", "E_tE", "t_P", "P_tP"],
+        ["g_over_gamma", *_OPTIMA],
         [(r, *o) for r, o in zip(ratios, _linear_optima(ps))])
     return [series, optima]
 
@@ -361,7 +382,7 @@ def _figure_fig3(outdir):
         paths.append(_figure_csv(
             outdir, f"fig3_{tag}_timeseries.csv",
             f"nonlinear battery, Omega=J/4, gamma={_cell(gamma)}, J=1", header,
-            zip(t, energy, *approx)))
+            np.column_stack([t, energy, *approx]).tolist()))
     # column 3: moderate driving at gamma = J/2 for three drive amplitudes
     drives = (0.05, 0.25, 1.0)
     cols = [moderate[om] if om in moderate else cumulant.integrate_cumulant(
@@ -371,7 +392,7 @@ def _figure_fig3(outdir):
         outdir, "fig3_c_f_moderate.csv",
         "nonlinear battery, gamma=J/2, cumulant route, three drives",
         ["t"] + [f"energy_Omega_{om}" for om in drives],
-        zip(np.linspace(0.0, 40.0, 2001), *cols)))
+        np.column_stack([np.linspace(0.0, 40.0, 2001), *cols]).tolist()))
     return paths
 
 
@@ -390,14 +411,14 @@ def _figure_fig4(outdir):
             sc = Scenario(coupling="nonlinear", route="fock", Omega=float(r), gamma=gamma,
                           J=1.0, t_end=t_end, n_samples=257, cutoff_a=8,
                           cutoff_b=8 if r <= 0.12 else (16 if r <= 0.5 else 24))
-            t_e, e_te, t_p, p_tp, e_ss, erg_ss = _sweep_point(sc, "fock")
-            rows.append((r, e_ss, erg_ss, t_e, e_te, t_p, p_tp,
+            *optima, e_ss, erg_ss = _sweep_point(sc, "fock")
+            rows.append((r, e_ss, erg_ss, *optima,
                          cumulant.steady_energy_nonlinear(sc.params())))
         paths.append(_figure_csv(
             outdir, f"fig4_{tag}_sweep.csv",
             f"nonlinear battery sweep, gamma={_cell(gamma)}, J=1, fock route, "
             f"t_end={_cell(t_end)}",
-            ["Omega_over_J", "energy_ss", "ergotropy_ss", "t_E", "E_tE", "t_P", "P_tP",
+            ["Omega_over_J", "energy_ss", "ergotropy_ss", *_OPTIMA,
              "energy_ss_cumulant"], rows))
     return paths
 
@@ -413,13 +434,14 @@ FIGURES = {
 def print_constants(out):
     lc = linear.linear_constants()
     pc = perturbation.perturbation_constants()
+    alpha_residual = abs(math.tan(pc.alpha) - 4.0 * pc.alpha)
     rows = [
         ("A", lc.A, abs(lc.A + 0.5 + lambertw(-1.0 / (2.0 * math.sqrt(math.e)), -1).real)),
         ("B", lc.B, abs(math.tan(lc.B / 2.0) - 2.0 * lc.B)),
         ("C", lc.C, abs(lc.C - 2.0 * (1.0 - math.exp(-lc.A)) ** 2 / lc.A)),
         ("D_strong", lc.D_strong, abs(lc.D_strong - 4.0 * math.sin(lc.B / 2.0) ** 4 / lc.B)),
-        ("alpha", pc.alpha, abs(math.tan(pc.alpha) - 4.0 * pc.alpha)),
-        ("sqrt2_alpha", math.sqrt(2.0) * pc.alpha, abs(math.tan(pc.alpha) - 4.0 * pc.alpha)),
+        ("alpha", pc.alpha, alpha_residual),
+        ("sqrt2_alpha", math.sqrt(2.0) * pc.alpha, alpha_residual),
         ("beta", pc.beta, abs(pc.beta - 2.0 * math.sqrt(2.0) * math.sin(pc.alpha) ** 4 / pc.alpha)),
         ("B_minus_2alpha", lc.B - 2.0 * pc.alpha, abs(lc.B - 2.0 * pc.alpha)),
     ]

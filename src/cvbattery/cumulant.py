@@ -53,21 +53,23 @@ def cumulant_rhs(t, y, p: NonlinearParams):
     """Time derivatives of the cumulant state vector y, whose components are
     Re<a>, Im<a>, <a'a>, <b'b>, Re<aa>, Im<aa>, Re<bb>, Im<bb>.
 
-    Called directly by the integrator, so it builds no objects beyond the
+    Called directly by the integrator, so it reads y once, into Python
+    floats, and builds no objects beyond them, a few complex numbers and the
     returned tuple.
     """
     gamma, J, Omega = p.gamma, p.J, p.Omega
-    a = complex(y[0], y[1])
-    aa = complex(y[4], y[5])
-    bb = complex(y[6], y[7])
+    y0, y1, y2, y3, y4, y5, y6, y7 = y.tolist()
+    a = complex(y0, y1)
+    aa = complex(y4, y5)
+    bb = complex(y6, y7)
     flow = J * (a.conjugate() * bb).imag  # Im(<a'><bb>)
     da = -(gamma / 2.0) * a - 1j * J * bb - 1j * Omega
     daa = -gamma * aa - 2j * Omega * a - 2j * J * a * bb
-    dbb = -2j * J * a - 4j * J * a * y[3]
+    dbb = -2j * J * a - 4j * J * a * y3
     return (
         da.real,
         da.imag,
-        -gamma * y[2] + 2.0 * flow - 2.0 * Omega * a.imag,
+        -gamma * y2 + 2.0 * flow - 2.0 * Omega * a.imag,
         -4.0 * flow,
         daa.real,
         daa.imag,

@@ -62,14 +62,22 @@ def expm_multiply(A, B, *, start, stop, num) -> np.ndarray:
     successive terms fall below 2^-53 ||F||_inf, then scaled by exp(h mu/s).
     The arithmetic is scipy's operation for operation, so for a CSR matrix A
     the result is the same to the bit wherever scipy takes that branch; what
-    goes is the overhead around it.  Each product A @ term runs scipy's own
-    CSR kernel, ``csr_matvec``, adding into a zeroed vector as scipy's sparse
-    product does, but into one buffer reused for every term instead of a new
-    array behind scipy's operator dispatch; terms are updated in place; and
-    ||F||_inf is computed only when the bound ||F_0||_inf + sum of the term
-    norms lets the stopping test pass.  Rounding keeps the computed
-    ||F||_inf far below twice that bound, so the factor 2 below never skips
-    a test that would have passed.
+    goes is the interpreter work around it.  A sub-step's terms are the rows
+    of one block, as many computed up front as the previous sub-step used:
+    each is one call of scipy's own CSR kernel, ``csr_matvec``, adding into
+    a zeroed row as scipy's sparse product adds into a zeroed vector, and
+    one in-place scale.  One ``np.abs(block).max(axis=1)`` gives every term
+    norm, and scipy's stopping test runs over them in the same order, in
+    Python floats.  F at a candidate stop q is ``np.add.reduce`` of rows
+    0..q along axis 0, which adds row by row and so rounds as scipy's
+    running ``F = F + term`` (for n > 1; at n = 1 the shifted A is zero and
+    no term is formed); it is formed only where the bound
+    ||F_0||_inf + sum of the term norms lets the test pass (rounding keeps
+    the computed ||F||_inf far below twice that bound, so the factor 2
+    below never skips a test that would have passed) and where the series
+    reaches m*.  Until the test passes the block gains one term at a time;
+    terms past the stop are discarded, and the block only grows to the most
+    terms a sub-step has used.
     scipy's norm estimates draw from numpy's global RNG; they run on a fixed
     stream (seed 0), so the result does not depend on the caller's RNG
     state, and that state is left as it was.
@@ -103,26 +111,39 @@ def expm_multiply(A, B, *, start, stop, num) -> np.ndarray:
     # the product A @ term as scipy computes it: csr_matvec adding into a
     # zeroed vector of the result type, with A's entries in that type
     A = sp.csr_matrix(A, dtype=X.dtype)
-    term = np.empty(n, dtype=X.dtype)
-    product = np.empty(n, dtype=X.dtype)
+    block = np.empty((1, n), dtype=X.dtype)  # row j: the term of degree j
+    # guess: the terms computed before the first test, the previous
+    # sub-step's count (q stays 1 when m* = 0 and no sub-step has terms)
+    q = guess = 1
     for k in range(1, num):
         F = X[k]
         F[:] = X[k - 1]
         for _ in range(s):
-            term[:] = F
-            c1 = bound = np.abs(F).max()
-            for coeff in coeffs:
-                product.fill(0)
-                csr_matvec(n, n, A.indptr, A.indices, A.data, term, product)
-                np.multiply(product, coeff, out=term)
-                c2 = np.abs(term).max()
-                F += term
+            block[0] = F
+            norms = [float(np.abs(F).max())]  # ||term j||_inf
+            c1 = bound = norms[0]
+            for q in range(1, m_star + 1):
+                if q == len(norms):  # the next terms: up to the guess, or one
+                    top = max(q, guess)
+                    if top >= len(block):  # grown to the terms used so far
+                        block = np.concatenate([block[:q], np.empty((top + 1 - q, n), X.dtype)])
+                    terms = block[q:top + 1]
+                    terms.fill(0)
+                    for j in range(q, q + len(terms)):
+                        csr_matvec(n, n, A.indptr, A.indices, A.data, block[j - 1], block[j])
+                        block[j] *= coeffs[j - 1]
+                    norms += np.abs(terms).max(axis=1).tolist()
+                c2 = norms[q]
                 bound += c2
-                if c1 + c2 <= 2.0 * _UNIT_ROUNDOFF * bound and (
-                    c1 + c2 <= _UNIT_ROUNDOFF * np.abs(F).max()
-                ):
-                    break
+                # F = the terms up to q, where the test may pass and where the
+                # series ends; numpy sums the rows in order, as F += term
+                # does, when n > 1 (for n = 1 the shifted A is zero: m* = 0)
+                if c1 + c2 <= 2.0 * _UNIT_ROUNDOFF * bound or q == m_star:
+                    np.add.reduce(block[:q + 1], axis=0, out=F)
+                    if c1 + c2 <= _UNIT_ROUNDOFF * np.abs(F).max():
+                        break
                 c1 = c2
+            guess = q
             F *= eta
     return X
 

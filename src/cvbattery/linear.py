@@ -143,7 +143,7 @@ def optimal_time_energy(p: LinearParams) -> float:
     infinity (asymptotic approach) at or below it."""
     if p.g <= exceptional_point(p.gamma):
         return INF_TIME
-    return math.pi / renormalized_frequency(p.g, p.gamma).real
+    return math.pi / float(renormalized_frequency(p.g, p.gamma).real)
 
 
 def optimal_energy(p: LinearParams) -> float:
@@ -156,22 +156,49 @@ def optimal_energy(p: LinearParams) -> float:
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_BRACKET_GRID = 512  # points of each coarse log grid over (0, T_max]
+_BRACKET_CHUNK = 8  # points whose grids make one array pass: 32 KiB per array
 
 
-def _power_bracket(p: LinearParams):
-    """Neighbours of the earliest maximizer of E(t)/t on a 512-point log
-    grid over (0, T_max]."""
-    if p.gamma > 0:
-        t_max = max(40.0 / p.gamma, 20.0 * math.pi / p.g)
-    else:
-        t_max = 20.0 * math.pi / p.g
-    grid = np.logspace(math.log10(t_max) - 6.0, math.log10(t_max), 512)
-    power = energy_linear(grid, p) / grid
-    best = np.max(power)
-    # earliest grid point within relative tie tolerance of the maximum
-    i = int(np.argmax(power >= best * (1.0 - 1e-9)))
-    lo = grid[i - 1] if i > 0 else grid[0] * 1e-3
-    hi = grid[i + 1] if i + 1 < grid.size else grid[-1]
+def _point_arrays(ps):
+    """(pref, gamma, disc, regime): one entry per point of ``ps``, each from
+    the Python floats of that point as ``energy_linear`` computes it, pref
+    being the energy prefactor omega_b (Omega/g)^2."""
+    pref = np.array([p.omega_b * (p.Omega / p.g) ** 2 for p in ps])
+    gamma = np.array([p.gamma for p in ps])
+    disc, regime = np.array([_regime(p.g, p.gamma) for p in ps]).reshape(-1, 2).T
+    return pref, gamma, disc, regime
+
+
+def _envelopes(t, idx, points):
+    """``_envelope`` at times t for the points idx of ``points`` (from
+    ``_point_arrays``): t[i] is a time, or a row of times, of point idx[i]."""
+    _, gamma, disc, regime = points
+    env = np.empty_like(t)
+    for r in (_NEAR_EP, _UNDERDAMPED, _OVERDAMPED):
+        m = regime[idx] == r
+        if m.any():
+            j = idx[m].reshape((-1,) + (1,) * (t.ndim - 1))
+            env[m] = _envelope(t[m], gamma[j], disc[j], r)
+    return env
+
+
+def _power_brackets(ps, points):
+    """(lo, hi): the grid neighbours of the earliest maximizer of E(t)/t on
+    each point's 512-point log grid over (0, T_max] (``power_optima``)."""
+    lo, hi = np.empty(len(ps)), np.empty(len(ps))
+    for first in range(0, len(ps), _BRACKET_CHUNK):
+        chunk = ps[first:first + _BRACKET_CHUNK]
+        rows = np.arange(first, first + len(chunk))
+        top = np.array([math.log10(max(40.0 / p.gamma, 20.0 * math.pi / p.g) if p.gamma > 0
+                                   else 20.0 * math.pi / p.g) for p in chunk])
+        grid = np.logspace(top - 6.0, top, _BRACKET_GRID, axis=1)
+        power = points[0][rows, None] * (1.0 - _envelopes(grid, rows, points)) ** 2 / grid
+        # earliest grid point within relative tie tolerance of the row's maximum
+        i = np.argmax(power >= power.max(axis=1, keepdims=True) * (1.0 - 1e-9), axis=1)
+        k = np.arange(rows.size)
+        lo[rows] = np.where(i > 0, grid[k, i - 1], grid[:, 0] * 1e-3)
+        hi[rows] = grid[k, np.minimum(i + 1, _BRACKET_GRID - 1)]
     return lo, hi
 
 
@@ -189,30 +216,28 @@ def power_optima(ps):
     relative, so the refinement reproduces the arithmetic of a scalar
     ``energy_linear(t, p) / t`` bit for bit: the energy prefactor and
     ``_regime`` are Python floats per point and the square of 1 - envelope
-    is C ``pow``, not ``x*x``.  Each point's bracket comes from its own grid
-    for the same reason (a batched grid rounds its endpoints differently),
-    and scipy's bounded ``minimize_scalar`` is not used: on fig2's 801-point
-    grid it moved t_P by up to 5e-8 relative.  Returns two float arrays of
-    len(ps).
+    is C ``pow``, not ``x*x``.  scipy's bounded ``minimize_scalar`` is not
+    used: on fig2's 801-point grid it moved t_P by up to 5e-8 relative.
+
+    The brackets are found ``_BRACKET_CHUNK`` points at a time, their grids
+    one (points, 512) array, with the arithmetic of ``energy_linear`` on one
+    point's grid: each grid's endpoints are ``math.log10`` of that point's
+    Python float T_max, ``np.logspace`` then rounds every grid entry as it
+    does for one grid, and every later step is elementwise.  The earliest
+    maximizer is taken per row.  Returns two float arrays of len(ps).
     """
     ps = list(ps)
     if any(p.Omega <= 0 for p in ps):
         raise InvalidInputError("power optimum requires Omega > 0")
-    pref = np.array([p.omega_b * (p.Omega / p.g) ** 2 for p in ps])
-    gamma = np.array([p.gamma for p in ps])
-    disc, regime = np.array([_regime(p.g, p.gamma) for p in ps]).reshape(-1, 2).T
+    points = _point_arrays(ps)
+    pref = points[0]
 
     def power(t, idx):
-        env = np.empty_like(t)
-        for r in (_NEAR_EP, _UNDERDAMPED, _OVERDAMPED):
-            m = regime[idx] == r
-            if m.any():
-                j = idx[m]
-                env[m] = _envelope(t[m], gamma[j], disc[j], r)
+        env = _envelopes(t, idx, points)
         sq = np.array([math.pow(x, 2.0) for x in (1.0 - env).tolist()])  # C pow
         return pref[idx] * sq / t
 
-    a, b = np.array([_power_bracket(p) for p in ps]).reshape(-1, 2).T.copy()
+    a, b = _power_brackets(ps, points)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     every = np.arange(len(ps))

@@ -608,3 +608,51 @@ def test_determinism_repeat_run(tmp_path, capsys):
                          "--samples", "33", "--t-end", "10.0"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def test_run_writes_identical_bytes_twice(tmp_path):
+    # every route, so the file holds the NaN columns of the routes that do
+    # not apply, the Fock columns and the summary block with its text cells
+    path = write_scenario(tmp_path, LINEAR_SCENARIO.replace("route = analytic", "route = all")
+                          + "cutoff_a = 4\ncutoff_b = 4\n")
+    outputs = []
+    for name in ("first.csv", "second.csv"):
+        assert cli.main(["run", str(path), "--out", str(tmp_path / name)]) == 0
+        outputs.append((tmp_path / name).read_bytes())
+    assert outputs[0] == outputs[1]
+    assert b",," in outputs[0]  # empty cells
+
+
+# cells of every kind a row may hold, and the floats whose text is special
+_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                     2.2250738585072014e-308, 1e300, -1e300, 0.1]),
+    st.integers(-10**300, 10**300),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.sampled_from(["nan", "banana", "-nan", "inf", "%s", "%", "%.15g", ""]),
+    st.floats().map(np.float64),
+)
+
+
+@st.composite
+def _tables(draw):
+    """Rows of several widths, each width a run of rows, some rows repeated
+    so that a row format is used again."""
+    rows = []
+    for width in draw(st.lists(st.integers(0, 6), max_size=4)):
+        block = draw(st.lists(st.lists(_CELLS, min_size=width, max_size=width), max_size=5))
+        rows += block + block[:2]
+    return [tuple(r) if i % 2 else r for i, r in enumerate(rows)]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.text(), max_size=2), st.lists(st.text(), min_size=1, max_size=3), _tables())
+def test_csv_writer_is_the_per_cell_join(comments, header, rows):
+    out = io.StringIO()
+    cli._write_csv(out, comments, header, rows)
+    expected = ("".join(f"# {c}\n" for c in comments) + ",".join(header) + "\n"
+                + "".join(",".join(map(cli._cell, row)) + "\n" for row in rows))
+    assert out.getvalue() == expected

@@ -1,13 +1,14 @@
 """Unit tests for the truncated-Fock exact route."""
 
 import math
+import re
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import _expm_multiply as em
 from scipy.sparse.linalg import expm_multiply
@@ -16,6 +17,7 @@ from cvbattery import focksim
 from cvbattery.cumulant import NonlinearParams, steady_energy_nonlinear
 from cvbattery.errors import InvalidInputError, UnphysicalStateError
 from cvbattery.focksim import (
+    TOP_LEVEL_TOL,
     FockConfig,
     build_hamiltonian,
     check_density_matrix,
@@ -34,7 +36,7 @@ from cvbattery.focksim import (
     _sector,
     _unfold,
 )
-from cvbattery.gaussian import MomentState
+from cvbattery.gaussian import MomentState, covariance_determinant
 from cvbattery.linear import LinearParams, energy_linear
 
 
@@ -297,6 +299,51 @@ class TestEvolve:
         finally:
             np.random.set_state(saved)
         assert np.array_equal(first, second)
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    st.sampled_from(["linear", "nonlinear"]),
+    st.floats(0.01, 0.3),  # Omega
+    st.floats(0.5, 2.0),  # g or J
+    st.floats(0.0, 2.0),  # gamma
+    st.integers(4, 6),  # cutoff_a
+    st.integers(6, 10),  # cutoff_b
+    st.floats(1.0, 10.0),  # t_end
+)
+def test_driven_trajectories_keep_d_at_least_one(kind, Omega, coupling, gamma, ca, cb, t_end):
+    if kind == "linear":
+        p = LinearParams(Omega=Omega, g=coupling, gamma=gamma)
+    else:
+        p = NonlinearParams(Omega=Omega, J=coupling, gamma=gamma)
+    traj = evolve(kind, p, FockConfig(cutoff_a=ca, cutoff_b=cb), t_end, n_samples=9)
+    assume(traj.cutoff_ok)  # truncation bends [b, b'] and with it the bound
+    D = covariance_determinant(MomentState.from_array(traj.moments()))
+    assert np.all(D >= 1.0 - 1e-9)
+
+
+def _coherent_cutoff(n_max):
+    """The fewest levels whose top level holds at most TOP_LEVEL_TOL / 10 of
+    every coherent state with mean number up to n_max."""
+    c = max(2, math.ceil(n_max) + 2)
+    while math.exp(-n_max) * n_max ** (c - 1) / math.factorial(c - 1) > TOP_LEVEL_TOL / 10:
+        c += 1
+    return c
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.floats(0.01, 0.4), st.floats(0.5, 2.0), st.floats(0.0, 3.0), st.floats(0.2, 3.0),
+       st.floats(1.0, 10.0))
+def test_linear_fock_energy_matches_closed_form(Omega, g, gamma, omega_b, t_end):
+    # from vacuum both modes stay coherent, with |<a>|^2 <= (Omega/g)^2 and
+    # |<b>|^2 <= 4 (Omega/g)^2 at all times
+    p = LinearParams(omega_b=omega_b, Omega=Omega, g=g, gamma=gamma)
+    cfg = FockConfig(cutoff_a=_coherent_cutoff((Omega / g) ** 2),
+                     cutoff_b=_coherent_cutoff(4.0 * (Omega / g) ** 2))
+    traj = evolve("linear", p, cfg, t_end, n_samples=9)
+    assert traj.cutoff_ok
+    energy = omega_b * traj.battery_population()
+    assert np.max(np.abs(energy - energy_linear(traj.times, p))) <= 1e-6 * omega_b
 
 
 def _random_density_matrix(dim, seed):
@@ -594,9 +641,10 @@ def _seeded(propagate, A, b, **kwargs):
         np.random.set_state(state)
 
 
-def _scipy_per_sample_branch(A, b, *, start, stop, num):
+def _scipy_per_sample_branch(A, b, *, start, stop, num, wrap=lambda A: A):
     """scipy's expm_multiply on its per-sample branch, which scipy takes by
-    itself only when the sample count is at most its step count."""
+    itself only when the sample count is at most its step count.  The
+    Taylor loop takes its products from ``wrap`` of the shifted A."""
     assert start == 0.0
     mu = A.trace() / float(A.shape[0])
     A = A - mu * em._ident_like(A)
@@ -604,9 +652,57 @@ def _scipy_per_sample_branch(A, b, *, start, stop, num):
     X[0] = b
     norm_info = em.LazyOperatorNormInfo(stop * A, A_1_norm=stop * em._exact_1_norm(A),
                                         ell=2)
-    X, _ = em._expm_multiply_interval_core_0(A, X, stop / (num - 1), mu, num - 1,
+    X, _ = em._expm_multiply_interval_core_0(wrap(A), X, stop / (num - 1), mu, num - 1,
                                              norm_info, 2.0**-53, 2, 1)
     return X
+
+
+def _taylor_degrees(A, b, **kwargs):
+    """(X, m*, degrees): ``_scipy_per_sample_branch`` (seeded), its Taylor
+    degree m* and the degree at which each of its sub-steps stopped, read
+    off the order of its products ("d") and infinity norms ("n"): a sub-step
+    takes one norm, then one product and two norms per term."""
+    log, fragments = [], []
+
+    class Logged:
+        def __init__(self, M):
+            self.M = M
+
+        def dot(self, x):
+            log.append("d")
+            return self.M.dot(x)
+
+    def norm(x, inner=em._exact_inf_norm):
+        log.append("n")
+        return inner(x)
+
+    def fragment(*args, inner=em._fragment_3_1, **kw):
+        fragments.append(inner(*args, **kw))
+        return fragments[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(em, "_exact_inf_norm", norm)
+        mp.setattr(em, "_fragment_3_1", fragment)
+        X = _seeded(_scipy_per_sample_branch, A, b, wrap=Logged, **kwargs)
+    m_star = fragments[0][0] if fragments else 0  # scipy skips it for a zero norm
+    degrees = [len(terms) // 3 for terms in re.findall(r"n((?:dnn)*)", "".join(log))]
+    return X, m_star, degrees
+
+
+def _random_generator(seed, n, zero, complex_start):
+    """A real sparse n x n generator and a start vector drawn from ``seed``:
+    random couplings over a spread diagonal, so that the norm of the state
+    moves between sub-steps, and start entries spanning many decades.  The
+    generator is all zeros if ``zero``, and the start complex if
+    ``complex_start``."""
+    rng = np.random.default_rng(seed)
+    A = sp.random(n, n, density=rng.uniform(0.2, 1.0), random_state=rng, format="csr")
+    A = A * rng.uniform(0.1, 5.0) + sp.diags(rng.uniform(-3.0, 1.0, n) * rng.uniform(0.0, 5.0))
+    A = sp.csr_matrix(A) * (0.0 if zero else 1.0)
+    b = rng.normal(size=n) * np.exp(rng.uniform(-20.0, 0.0, n))
+    if complex_start:
+        b = b + 1j * rng.normal(size=n)
+    return A, b, dict(start=0.0, stop=rng.uniform(0.1, 20.0), num=int(rng.integers(2, 12)))
 
 
 def _fock_state(c, n_a, n_b):
@@ -693,6 +789,32 @@ class TestPropagator:
         out = focksim.expm_multiply(A, b, **kwargs)
         assert out.dtype == np.complex128
         assert np.array_equal(out, _seeded(_scipy_per_sample_branch, A, b, **kwargs))
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.booleans(), st.booleans())
+    def test_blocked_taylor_loop_bit_identical_to_scipy(self, seed, n, zero, complex_start):
+        A, b, kwargs = _random_generator(seed, n, zero, complex_start)
+        assert np.array_equal(focksim.expm_multiply(A, b, **kwargs),
+                              _seeded(_scipy_per_sample_branch, A, b, **kwargs))
+
+    def test_blocked_taylor_loop_cases(self):
+        # fixed draws of the generator above that take every branch of the
+        # blocked loop: a sub-step that needs more terms than the one before
+        # (the guess too low) and one that needs fewer (too high), a series
+        # that runs to m*, m* = 0 and a complex start
+        seen = set()
+        for seed in range(50):
+            zero, complex_start = seed % 10 == 9, seed % 3 == 1
+            A, b, kwargs = _random_generator(seed, 1 + seed % 8, zero, complex_start)
+            out = focksim.expm_multiply(A, b, **kwargs)
+            X, m_star, degrees = _taylor_degrees(A, b, **kwargs)
+            assert np.array_equal(out, X), seed
+            steps = np.diff(degrees)
+            seen.update(name for name, hit in [
+                ("rise", np.any(steps > 0)), ("fall", np.any(steps < 0)),
+                ("to m*", m_star > 0 and m_star in degrees), ("m* = 0", m_star == 0),
+                ("complex", complex_start)] if hit)
+        assert seen == {"rise", "fall", "to m*", "m* = 0", "complex"}
 
     def test_zero_matrix_gives_constant_rows(self):
         b = np.array([0.3, -1.0, 2.5j])

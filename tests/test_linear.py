@@ -10,6 +10,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.special import lambertw
 
+from cvbattery import linear
 from cvbattery.errors import InvalidInputError
 from cvbattery.linear import (
     INF_TIME,
@@ -45,19 +46,29 @@ def moment_ode_energy(t_grid, p):
     return p.omega_b * (sol.y[2] ** 2 + sol.y[3] ** 2)
 
 
-def scalar_power_optimum(p):
-    """Oracle: the per-point solver that ``power_optima`` replaced, a
-    512-point log grid and a scalar golden-section search over
-    ``energy_linear(t, p) / t``.  Returns (t_P, P(t_P))."""
+def power_bracket(p):
+    """Oracle: the per-point bracket rule that ``linear._power_brackets``
+    batches, the neighbours of the earliest maximizer of E(t)/t on a
+    512-point log grid over (0, T_max]."""
     if p.gamma > 0:
         t_max = max(40.0 / p.gamma, 20.0 * math.pi / p.g)
     else:
         t_max = 20.0 * math.pi / p.g
     grid = np.logspace(math.log10(t_max) - 6.0, math.log10(t_max), 512)
     power = energy_linear(grid, p) / grid
-    i = int(np.argmax(power >= np.max(power) * (1.0 - 1e-9)))
-    a = grid[i - 1] if i > 0 else grid[0] * 1e-3
-    b = grid[i + 1] if i + 1 < grid.size else grid[-1]
+    best = np.max(power)
+    # earliest grid point within relative tie tolerance of the maximum
+    i = int(np.argmax(power >= best * (1.0 - 1e-9)))
+    lo = grid[i - 1] if i > 0 else grid[0] * 1e-3
+    hi = grid[i + 1] if i + 1 < grid.size else grid[-1]
+    return lo, hi
+
+
+def scalar_power_optimum(p):
+    """Oracle: the per-point solver that ``power_optima`` replaced,
+    ``power_bracket`` and a scalar golden-section search over
+    ``energy_linear(t, p) / t``.  Returns (t_P, P(t_P))."""
+    a, b = power_bracket(p)
 
     def f(t):
         return energy_linear(t, p) / t
@@ -115,6 +126,41 @@ def test_batched_power_optima_match_scalar_solver_on_fig2_grid():
     ps = [LinearParams(omega_b=1.0, Omega=0.1, g=float(r), gamma=1.0)
           for r in np.logspace(-2, 2, 801)]
     assert_same_bits_as_scalar_solver(ps)
+
+
+def assert_same_brackets_as_per_point_rule(ps):
+    lo, hi = linear._power_brackets(ps, linear._point_arrays(ps))
+    ref = np.array([power_bracket(p) for p in ps]).reshape(-1, 2)
+    np.testing.assert_array_equal(lo, ref[:, 0])
+    np.testing.assert_array_equal(hi, ref[:, 1])
+
+
+# up to 40 points, so that chunks of the batched pass fill, and mix regimes
+@settings(max_examples=60, deadline=None)
+@given(st.lists(linear_points(), min_size=1, max_size=40))
+def test_batched_brackets_match_per_point_rule(ps):
+    assert_same_brackets_as_per_point_rule(ps)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0, 2.5])
+def test_batched_brackets_match_per_point_rule_on_fig2_grid(gamma):
+    # fig2's 801 ratios g/gamma (g itself at gamma = 0)
+    ps = [LinearParams(omega_b=1.0, Omega=0.1, g=float(r) * (gamma or 1.0), gamma=gamma)
+          for r in np.logspace(-2, 2, 801)]
+    assert_same_brackets_as_per_point_rule(ps)
+
+
+def test_batched_brackets_take_the_earliest_near_tie():
+    # here the grid point after the first maximizer of E(t)/t holds a power
+    # above it by less than the 1e-9 relative tie tolerance, so the bracket
+    # is centred on the earlier point
+    p = LinearParams(Omega=0.1, g=2.03850299, gamma=1.0)
+    grid = np.logspace(math.log10(40.0) - 6.0, math.log10(40.0), 512)  # T_max = 40/gamma
+    power = energy_linear(grid, p) / grid
+    assert np.argmax(power) == 386
+    assert 0.0 < power[386] - power[385] < 1e-9 * power[386]
+    lo, hi = linear._power_brackets([p], linear._point_arrays([p]))
+    assert (lo[0], hi[0]) == (grid[384], grid[386]) == power_bracket(p)
 
 
 def test_power_optima_reject_an_undriven_point():
