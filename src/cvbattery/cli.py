@@ -12,10 +12,10 @@ global RNG state untouched.  Exit codes: 0 success, 2 config error,
 """
 
 import argparse
-import io
 import math
 import sys
 from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import lambertw
@@ -491,11 +491,12 @@ def main(argv=None) -> int:
         if args.out is None:
             write_run_csv(sc, sys.stdout)
         else:
-            # render first, so that a run that fails leaves no file behind
-            buf = io.StringIO()
-            write_run_csv(sc, buf)
+            # render first, so that a run that fails leaves no file behind;
+            # kept as its lines, never joined into one text
+            lines = []
+            write_run_csv(sc, SimpleNamespace(write=lines.append))
             with open(args.out, "w", newline="\n") as fh:
-                fh.write(buf.getvalue())
+                fh.writelines(lines)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
