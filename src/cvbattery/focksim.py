@@ -3,11 +3,11 @@
 The rotated-frame Hamiltonians are time independent, so the master equation
 is integrated as a linear ODE for the vectorized density matrix using a
 sparse Liouvillian, by the action of its exponential.  That is computed by
-``expm_multiply``: the per-sample branch of scipy's Al-Mohy/Higham
-propagator, run in this module with scipy's arithmetic but without its
-per-term overhead.  Tensor layout: charger index slow, battery index fast,
-with row-major (C-order) vectorization, i.e. basis state |n_a, n_b> sits at
-flat index n_a * cutoff_b + n_b.
+``propagate.expm_multiply``: scipy's Al-Mohy/Higham Taylor propagator, run
+with scipy's arithmetic but without its per-term overhead, one series
+serving every sample that it spans.  Tensor layout: charger index slow,
+battery index fast, with row-major (C-order) vectorization, i.e. basis state
+|n_a, n_b> sits at flat index n_a * cutoff_b + n_b.
 
 The propagation runs in real arithmetic, in the frame R = V'rho V with
 V = diag(i^n_a).  Every Hamiltonian term of both couplings changes n_a by
@@ -28,12 +28,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-# scipy's CSR product kernel (also the step of ``_sector``) and its (degree,
-# step count) selection: the package's only private scipy imports, pinned by
-# the bit-identity tests of ``expm_multiply`` and by the scipy version bound
-# in pyproject.toml
-from scipy.sparse._sparsetools import csr_matvec
-from scipy.sparse.linalg._expm_multiply import LazyOperatorNormInfo, _fragment_3_1
 
 from .errors import (
     ConvergenceError,
@@ -41,111 +35,13 @@ from .errors import (
     UnphysicalStateError,
 )
 from .gaussian import MomentState
+# scipy's CSR kernel, the step of ``_sector``, comes with the propagator
+from .propagate import csr_matvec, expm_multiply
 
 TOP_LEVEL_TOL = 1e-6  # max allowed population of the highest retained level
 CONVERGENCE_REL = 1e-4  # converge_cutoffs: relative change that counts as settled
 MAX_DOUBLINGS = 4  # converge_cutoffs: truncation growth rounds before giving up
 _POWERS_OF_I = np.array([1, 1j, -1, -1j])
-_UNIT_ROUNDOFF = 2.0**-53  # the Taylor series stops when its terms fall below it
-
-
-def expm_multiply(A, B, *, start, stop, num) -> np.ndarray:
-    """exp(t A) B for a sparse matrix A and a vector B at the ``num`` times of
-    ``np.linspace(start, stop, num)``, with ``start = 0``.
-
-    This is the per-sample branch of scipy's ``expm_multiply`` (Al-Mohy &
-    Higham, SIAM J. Sci. Comput. 33, 488 (2011), algorithm 5.2, taken there
-    when the sample count is at most the step count): A is shifted by
-    mu = tr(A)/n, and scipy's own norm estimates fix the Taylor degree m* and
-    the step count s for one sample step h.  Each sample is the previous one
-    advanced by s sub-steps, each a Taylor series in hA/s cut off once two
-    successive terms fall below 2^-53 ||F||_inf, then scaled by exp(h mu/s).
-    The arithmetic is scipy's operation for operation, so for a CSR matrix A
-    the result is the same to the bit wherever scipy takes that branch; what
-    goes is the interpreter work around it.  A sub-step's terms are the rows
-    of one block, as many computed up front as the previous sub-step used:
-    each is one call of scipy's own CSR kernel, ``csr_matvec``, adding into
-    a zeroed row as scipy's sparse product adds into a zeroed vector, and
-    one in-place scale.  One ``np.abs(block).max(axis=1)`` gives every term
-    norm, and scipy's stopping test runs over them in the same order, in
-    Python floats.  F at a candidate stop q is ``np.add.reduce`` of rows
-    0..q along axis 0, which adds row by row and so rounds as scipy's
-    running ``F = F + term`` (for n > 1; at n = 1 the shifted A is zero and
-    no term is formed); it is formed only where the bound
-    ||F_0||_inf + sum of the term norms lets the test pass (rounding keeps
-    the computed ||F||_inf far below twice that bound, so the factor 2
-    below never skips a test that would have passed) and where the series
-    reaches m*.  Until the test passes the block gains one term at a time;
-    terms past the stop are discarded, and the block only grows to the most
-    terms a sub-step has used.
-    scipy's norm estimates draw from numpy's global RNG; they run on a fixed
-    stream (seed 0), so the result does not depend on the caller's RNG
-    state, and that state is left as it was.
-    """
-    if num < 2:
-        raise ValueError("need at least 2 samples")
-    if start != 0:
-        raise ValueError("the samples must start at t = 0")
-    B = np.asarray(B)
-    if B.ndim != 1 or A.shape != (B.size, B.size):
-        raise ValueError(f"shapes of A {A.shape} and B {B.shape} do not match")
-    samples, h = np.linspace(start, stop, num, retstep=True)
-    n = B.size
-    mu = A.trace() / float(n)
-    A = A - mu * sp.identity(n, dtype=A.dtype, format=A.format)
-    t = samples[-1] - samples[0]
-    norm_info = LazyOperatorNormInfo(t * A, A_1_norm=t * abs(A).sum(axis=0).max(), ell=2,
-                                     scale=1.0 / (num - 1))
-    rng_state = np.random.get_state()
-    np.random.seed(0)
-    try:
-        m_star, s = _fragment_3_1(norm_info, 1, _UNIT_ROUNDOFF, ell=2)
-    finally:
-        np.random.set_state(rng_state)
-    if s == 0:  # ||h A||_1 is zero or underflows: exp(h A) is the identity
-        m_star, s = 0, 1
-    eta = np.exp(h * mu / float(s))
-    coeffs = [h / float(s * (j + 1)) for j in range(m_star)]
-    X = np.empty((num, n), dtype=np.result_type(A.dtype, B.dtype, float))
-    X[0] = B
-    # the product A @ term as scipy computes it: csr_matvec adding into a
-    # zeroed vector of the result type, with A's entries in that type
-    A = sp.csr_matrix(A, dtype=X.dtype)
-    block = np.empty((1, n), dtype=X.dtype)  # row j: the term of degree j
-    # guess: the terms computed before the first test, the previous
-    # sub-step's count (q stays 1 when m* = 0 and no sub-step has terms)
-    q = guess = 1
-    for k in range(1, num):
-        F = X[k]
-        F[:] = X[k - 1]
-        for _ in range(s):
-            block[0] = F
-            norms = [float(np.abs(F).max())]  # ||term j||_inf
-            c1 = bound = norms[0]
-            for q in range(1, m_star + 1):
-                if q == len(norms):  # the next terms: up to the guess, or one
-                    top = max(q, guess)
-                    if top >= len(block):  # grown to the terms used so far
-                        block = np.concatenate([block[:q], np.empty((top + 1 - q, n), X.dtype)])
-                    terms = block[q:top + 1]
-                    terms.fill(0)
-                    for j in range(q, q + len(terms)):
-                        csr_matvec(n, n, A.indptr, A.indices, A.data, block[j - 1], block[j])
-                        block[j] *= coeffs[j - 1]
-                    norms += np.abs(terms).max(axis=1).tolist()
-                c2 = norms[q]
-                bound += c2
-                # F = the terms up to q, where the test may pass and where the
-                # series ends; numpy sums the rows in order, as F += term
-                # does, when n > 1 (for n = 1 the shifted A is zero: m* = 0)
-                if c1 + c2 <= 2.0 * _UNIT_ROUNDOFF * bound or q == m_star:
-                    np.add.reduce(block[:q + 1], axis=0, out=F)
-                    if c1 + c2 <= _UNIT_ROUNDOFF * np.abs(F).max():
-                        break
-                c1 = c2
-            guess = q
-            F *= eta
-    return X
 
 
 @dataclass(frozen=True)
@@ -442,16 +338,18 @@ def evolve(
     """Propagate the rotated-frame master equation and sample uniformly.
 
     The Liouvillian is time independent, so the evolution is computed as the
-    exact action of the matrix exponential by ``expm_multiply``, this
-    module's Al-Mohy/Higham propagator, which advances each sample from the
-    one before by Taylor-series sub-steps, accurate to machine precision
-    with no tolerance to set, and which leaves numpy's global RNG as it
-    found it.  The state is propagated as R = V'rho V with V = diag(i^n_a),
-    on the kets that the start reaches under H and a, where the Liouvillian
-    is a real matrix (module docstring), and only through the half of R that
-    fixes the rest: the real symmetric part on k <= l and the real
-    antisymmetric part on k < l, each under its own folded real operator,
-    and of those only the entries that the initial state reaches
+    exact action of the matrix exponential by ``expm_multiply``, the
+    package's Al-Mohy/Higham propagator (``propagate``).  One Taylor series
+    from a sample gives every later sample within scipy's error bound for
+    one series, and a sample step too long for one series takes several;
+    the result is accurate to machine precision with no tolerance to set,
+    and numpy's global RNG is left as it was.  The state is propagated as
+    R = V'rho V with V = diag(i^n_a), on the kets that the start reaches
+    under H and a, where the Liouvillian is a real matrix (module
+    docstring), and only through the half of R that fixes the rest: the
+    real symmetric part on k <= l and the real antisymmetric part on k < l,
+    each under its own folded real operator, and of those only the entries
+    that the initial state reaches
     (``_folded_problem``).  ``expm_multiply`` so gets a float64 matrix and a
     float64 start vector for every start; a real start, such as the vacuum
     or a Fock-diagonal state, has no antisymmetric part, and that half drops
@@ -464,8 +362,10 @@ def evolve(
 
     Sets ``cutoff_ok = False`` when, at any sample, the highest level of
     either mode that the propagated entries contain is populated beyond
-    ``TOP_LEVEL_TOL`` and lies within two levels of that mode's cutoff
-    (b'b' moves n_b by two): below that, the evolution never left it.
+    ``TOP_LEVEL_TOL`` and lies within one step of that mode's cutoff: one
+    level for the charger and the linear battery, two for the nonlinear
+    battery (b'b' moves n_b by two).  Below that, the evolution never
+    reached the truncation.
     ``validate`` unfolds every sample and checks it with
     ``check_density_matrix`` on the principal block of R that the
     propagated kets span: rho vanishes outside it, and V is unitary, so that
@@ -497,10 +397,11 @@ def evolve(
     diag = np.flatnonzero(kets == bras)  # populations: S entries with phase 1
     pop = out[:, diag]
     cutoff_ok = not any(
-        level.max() >= cutoff - 2
+        level.max() + step >= cutoff
         and np.any(pop[:, level == level.max()].sum(axis=1) > TOP_LEVEL_TOL)
-        for level, cutoff in zip(np.divmod(kets[diag], c.cutoff_b),  # n_a, n_b
-                                 (c.cutoff_a, c.cutoff_b))
+        for level, cutoff, step in zip(np.divmod(kets[diag], c.cutoff_b),  # n_a, n_b
+                                       (c.cutoff_a, c.cutoff_b),
+                                       (1, 2 if kind == "nonlinear" else 1))
     )
     if validate:
         basis = np.union1d(kets, bras)

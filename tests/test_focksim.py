@@ -10,10 +10,11 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.sparse.linalg import _expm_multiply as em
 from scipy.sparse.linalg import expm_multiply
 
-from cvbattery import focksim
+from cvbattery import focksim, propagate
 from cvbattery.cumulant import NonlinearParams, steady_energy_nonlinear
 from cvbattery.errors import InvalidInputError, UnphysicalStateError
 from cvbattery.focksim import (
@@ -204,14 +205,29 @@ class TestEvolve:
         # conserved_charge_drift's start, which only mixes with |0,2>
         ("nonlinear", NonlinearParams(Omega=0.0, J=1.0, gamma=0.0), FockConfig(4, 6),
          (1, 0)),
+        # at a cutoff of 2 the vacuum's level 0 lies one step below it
+        ("linear", LinearParams(Omega=0.0, g=0.5, gamma=1.0), FockConfig(2, 6), (0, 0)),
+        ("nonlinear", NonlinearParams(Omega=0.0, J=1.0, gamma=0.5), FockConfig(2, 6),
+         (0, 0)),
+        ("linear", LinearParams(Omega=0.0, g=0.5, gamma=1.0), FockConfig(2, 2), (0, 0)),
     ], ids=["linear-undriven-4-4", "linear-undriven-8-12", "nonlinear-undriven-4-4",
-            "nonlinear-undriven-8-12", "conserved-charge-start"])
+            "nonlinear-undriven-8-12", "conserved-charge-start", "linear-undriven-2-6",
+            "nonlinear-undriven-2-6", "linear-undriven-2-2"])
     def test_cutoff_flag_holds_where_the_truncation_cannot_act(self, kind, p, cfg, start):
-        # the highest reached levels lie more than two below the cutoffs, so
-        # the evolution never reaches the truncation, however full they are
+        # the highest reached level of each mode lies more than one step (two
+        # levels for the nonlinear battery, one otherwise) below its cutoff,
+        # so the evolution never reaches the truncation, however full it is
         traj = evolve(kind, p, cfg, 5.0, n_samples=9,
                       initial_state=_fock_state(cfg, *start))
         assert traj.cutoff_ok
+
+    @pytest.mark.parametrize("cfg", [FockConfig(8, 20), FockConfig(8, 24)],
+                             ids=["criterion-11", "fig4"])
+    def test_cutoff_flag_trips_on_a_full_charger_top_level(self, cfg):
+        # criterion 11's and fig4's point at Omega = J, gamma = 0.5: the
+        # charger's level 7 holds more than TOP_LEVEL_TOL within t = 10
+        p = NonlinearParams(Omega=1.0, J=1.0, gamma=0.5)
+        assert not evolve("nonlinear", p, cfg, 10.0, n_samples=9).cutoff_ok
 
     def test_initial_state_validated(self):
         p = NonlinearParams(Omega=0.0, J=1.0, gamma=0.0)
@@ -575,7 +591,8 @@ def test_liouvillian_is_real_in_the_frame(kind, Omega, coupling, gamma, ca, cb, 
 def test_driven_vacuum_reaches_within_two_levels_of_each_cutoff(kind, Omega, coupling,
                                                                 gamma, ca, cb):
     # so for every driven vacuum run the truncation flag watches the highest
-    # reached level of each mode, whatever the coupling
+    # reached level of each mode, whatever the coupling: it lies within one
+    # step of the cutoff (two levels for the nonlinear battery, one otherwise)
     c = FockConfig(cutoff_a=ca, cutoff_b=cb)
     if kind == "linear":
         p = LinearParams(Omega=Omega, g=coupling, gamma=gamma)
@@ -583,7 +600,8 @@ def test_driven_vacuum_reaches_within_two_levels_of_each_cutoff(kind, Omega, cou
         p = NonlinearParams(Omega=Omega, J=coupling, gamma=gamma)
     _, _, sector, _ = _folded_problem(kind, p, c, vacuum_state(c).reshape(-1))
     n_a, n_b = np.divmod(sector // (ca * cb), cb)
-    assert n_a.max() >= ca - 2 and n_b.max() >= cb - 2
+    assert n_a.max() == ca - 1
+    assert n_b.max() >= cb - (2 if kind == "nonlinear" else 1)
 
 
 def test_real_starts_propagate_in_real_arithmetic(propagator_dtypes):
@@ -689,12 +707,93 @@ def _taylor_degrees(A, b, **kwargs):
     return X, m_star, degrees
 
 
-def _random_generator(seed, n, zero, complex_start):
+def _span(A, *, start, stop, num):
+    """d: the samples that one Taylor series of ``expm_multiply`` serves."""
+    return propagate._taylor_plan(A, stop - start, num)[-1]
+
+
+def _dense_expm(A, b, times):
+    """exp(t A) b at each of ``times``, from a dense ``scipy.linalg.expm`` of
+    A - alpha I times exp(t alpha), alpha the largest real part of A's
+    eigenvalues.  The shifted exponential does not grow, and scaling and
+    squaring resolves it to 3e-14 of max|x| on the grouped draws below,
+    where the plain expm of a growing A was off by up to 9e-12."""
+    A = A.toarray()
+    alpha = np.max(np.linalg.eigvals(A).real)
+    shifted = A - alpha * np.eye(A.shape[0])
+    return np.array([np.exp(t * alpha) * (expm(t * shifted) @ b) for t in times])
+
+
+def _assert_propagates(A, b, oracle=_scipy_per_sample_branch, **kwargs):
+    """(out, d): ``expm_multiply`` of A and b and the samples d that one of
+    its series serves.  Where d = 1, out is ``oracle`` to the bit; where
+    d > 1, out is within 1e-12 of max|x| of scipy's public expm_multiply
+    (the bound that holds for scipy's own term-sharing branch) and of a
+    dense expm, taken at every sample of a matrix of up to 16 rows and
+    otherwise at samples 1, d, d + 1 and the last."""
+    out = focksim.expm_multiply(A, b, **kwargs)
+    d = _span(A, **kwargs)
+    if d == 1:
+        assert np.array_equal(out, _seeded(oracle, A, b, **kwargs))
+        return out, d
+    tol = 1e-12 * np.max(np.abs(out))
+    assert np.max(np.abs(out - _seeded(expm_multiply, A, b, **kwargs))) <= tol
+    num = kwargs["num"]
+    at = (np.arange(num) if A.shape[0] <= 16
+          else np.unique([1, d, min(d + 1, num - 1), num - 1]))
+    times = np.linspace(kwargs["start"], kwargs["stop"], num)[at]
+    assert np.max(np.abs(out[at] - _dense_expm(A, b, times))) <= tol
+    return out, d
+
+
+def _grouped_series(A, b, *, start, stop, num):
+    """(X, m*, d, degrees): the propagator where one series serves d > 1
+    samples, written out term by term, with the degree at which each series
+    stopped.  d must be the largest count with d h ||A - mu I||_1 <= 9.9
+    (up to num - 1 and the span cap).  A series from sample k has the terms
+    T_j = (h/j) (A - mu I) T_{j-1}, T_0 = X[k]; it stops once two successive
+    terms d^j ||T_j||_inf fall below 2^-53 ||F_d||_inf, or at m*, with
+    F_i = sum_j i^j T_j summed in order, and sample k + i is
+    F_i exp(i h mu).  The last group takes the samples left over."""
+    assert start == 0.0
+    A, mu, m_star, s, d = propagate._taylor_plan(A, stop, num)
+    h = stop / (num - 1)
+    step = h * np.max(np.abs(A).sum(axis=0))
+    assert s == 1 and 1 < d <= min(num - 1, propagate._MAX_SPAN)
+    assert d * step <= 9.9 * (1 + 1e-15)
+    assert d in (num - 1, propagate._MAX_SPAN) or (d + 1) * step > 9.9 * (1 - 1e-15)
+    X = np.empty((num, b.size), dtype=np.result_type(A.dtype, b.dtype, float))
+    X[0] = b
+    A = A.astype(X.dtype)
+    etas = np.exp(np.arange(1.0, d + 1.0) * (h * mu))
+    degrees = []
+    for k in range(0, num - 1, d):
+        group = min(d, num - 1 - k)
+        T = [X[k]]
+        F, c1 = T[0] * 1.0, np.max(np.abs(T[0]))
+        for q in range(1, m_star + 1):
+            T.append((A @ T[-1]) * (h / float(q)))
+            weight = float(group**q)
+            F = F + weight * T[q]
+            c2 = weight * np.max(np.abs(T[q]))
+            if c1 + c2 <= 2.0**-53 * np.max(np.abs(F)):
+                break
+            c1 = c2
+        degrees.append(len(T) - 1)
+        for i in range(1, group + 1):
+            F = T[0] * 1.0
+            for j in range(1, len(T)):
+                F = F + float(i**j) * T[j]
+            X[k + i] = F * etas[i - 1]
+    return X, m_star, d, degrees
+
+
+def _random_generator(seed, n, zero, complex_start, max_num=12):
     """A real sparse n x n generator and a start vector drawn from ``seed``:
     random couplings over a spread diagonal, so that the norm of the state
-    moves between sub-steps, and start entries spanning many decades.  The
-    generator is all zeros if ``zero``, and the start complex if
-    ``complex_start``."""
+    moves between sub-steps, and start entries spanning many decades, with
+    2 to ``max_num`` - 1 samples.  The generator is all zeros if ``zero``,
+    and the start complex if ``complex_start``."""
     rng = np.random.default_rng(seed)
     A = sp.random(n, n, density=rng.uniform(0.2, 1.0), random_state=rng, format="csr")
     A = A * rng.uniform(0.1, 5.0) + sp.diags(rng.uniform(-3.0, 1.0, n) * rng.uniform(0.0, 5.0))
@@ -702,7 +801,21 @@ def _random_generator(seed, n, zero, complex_start):
     b = rng.normal(size=n) * np.exp(rng.uniform(-20.0, 0.0, n))
     if complex_start:
         b = b + 1j * rng.normal(size=n)
-    return A, b, dict(start=0.0, stop=rng.uniform(0.1, 20.0), num=int(rng.integers(2, 12)))
+    return A, b, dict(start=0.0, stop=rng.uniform(0.1, 20.0),
+                      num=int(rng.integers(2, max_num)))
+
+
+def _grouped_draw(seed, n, complex_start):
+    """A generator of ``_random_generator`` scaled by 10^u, u in [-12, 0],
+    with up to 199 samples: one series then often serves several samples,
+    and at the smallest norms it runs to a low m*.  The start has normal
+    entries (complex if ``complex_start``): with entries spread over decades
+    ``_dense_expm`` itself was off by up to 2.4e-13 of max|x| (against an
+    extended-precision Taylor series, which the propagator met to 2e-15)."""
+    A, _, kwargs = _random_generator(seed, n, False, complex_start, max_num=200)
+    rng = np.random.default_rng([seed, 1])
+    b = rng.normal(size=n) + (1j * rng.normal(size=n) if complex_start else 0.0)
+    return A * 10.0 ** rng.uniform(-12.0, 0.0), b, kwargs
 
 
 def _fock_state(c, n_a, n_b):
@@ -720,8 +833,8 @@ class TestPropagator:
             # per-sample branch
             (NonlinearParams(Omega=0.25, J=1.0, gamma=0.5), FockConfig(8, 12), (0, 0),
              40.0, 257, expm_multiply),
-            # conserved_charge_drift's start |1,0>, where scipy would share
-            # Taylor terms between samples instead
+            # conserved_charge_drift's start |1,0>, where one series serves
+            # several samples, as scipy shares Taylor terms between them
             (NonlinearParams(Omega=0.0, J=1.0, gamma=0.0), FockConfig(4, 6), (1, 0),
              20.0, 101, _scipy_per_sample_branch),
         ],
@@ -729,9 +842,8 @@ class TestPropagator:
     def test_bit_identical_to_scipys_per_sample_branch(self, p, cfg, rho0, t_end, num,
                                                         oracle):
         A, r0 = _sector_problem("nonlinear", p, cfg, _fock_state(cfg, *rho0))
-        kwargs = dict(start=0.0, stop=t_end, num=num)
-        out = focksim.expm_multiply(A, r0, **kwargs)
-        assert np.array_equal(out, _seeded(oracle, A, r0, **kwargs))
+        out, d = _assert_propagates(A, r0, oracle, start=0.0, stop=t_end, num=num)
+        assert (d > 1) == (oracle is _scipy_per_sample_branch)
         traj = evolve("nonlinear", p, cfg, t_end, n_samples=num,
                       initial_state=_fock_state(cfg, *rho0))
         assert np.array_equal(traj.sector_states, out)
@@ -767,8 +879,7 @@ class TestPropagator:
         A, r0 = _sector_problem(kind, p, c, rho0)
         assert A.dtype == np.float64 and r0.dtype == np.float64
         kwargs = dict(start=0.0, stop=t_end, num=num)
-        out = focksim.expm_multiply(A, r0, **kwargs)
-        assert np.array_equal(out, _seeded(_scipy_per_sample_branch, A, r0, **kwargs))
+        out, _ = _assert_propagates(A, r0, **kwargs)
         # Where the sample count exceeds its step count, scipy shares Taylor
         # terms between samples instead, and rounds differently: up to
         # 5.7e-13 of max|x| over 1500 draws, at long, nearly lossless
@@ -794,19 +905,24 @@ class TestPropagator:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.booleans(), st.booleans())
     def test_blocked_taylor_loop_bit_identical_to_scipy(self, seed, n, zero, complex_start):
         A, b, kwargs = _random_generator(seed, n, zero, complex_start)
-        assert np.array_equal(focksim.expm_multiply(A, b, **kwargs),
-                              _seeded(_scipy_per_sample_branch, A, b, **kwargs))
+        _assert_propagates(A, b, **kwargs)
 
     def test_blocked_taylor_loop_cases(self):
         # fixed draws of the generator above that take every branch of the
-        # blocked loop: a sub-step that needs more terms than the one before
-        # (the guess too low) and one that needs fewer (too high), a series
-        # that runs to m*, m* = 0 and a complex start
+        # blocked loop where a series serves one sample: a sub-step that needs
+        # more terms than the one before (the guess too low) and one that
+        # needs fewer (too high), a series that runs to m*, m* = 0 and a
+        # complex start.  The draws whose series run to m* have small norms,
+        # where one series serves several samples; seed 65 over a single
+        # sample step runs to m* = 17 with d = 1.
         seen = set()
-        for seed in range(50):
+        for seed, num in [(seed, None) for seed in range(50)] + [(65, 2)]:
             zero, complex_start = seed % 10 == 9, seed % 3 == 1
             A, b, kwargs = _random_generator(seed, 1 + seed % 8, zero, complex_start)
-            out = focksim.expm_multiply(A, b, **kwargs)
+            kwargs["num"] = num or kwargs["num"]
+            out, d = _assert_propagates(A, b, **kwargs)
+            if d > 1:
+                continue
             X, m_star, degrees = _taylor_degrees(A, b, **kwargs)
             assert np.array_equal(out, X), seed
             steps = np.diff(degrees)
@@ -815,6 +931,62 @@ class TestPropagator:
                 ("to m*", m_star > 0 and m_star in degrees), ("m* = 0", m_star == 0),
                 ("complex", complex_start)] if hit)
         assert seen == {"rise", "fall", "to m*", "m* = 0", "complex"}
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.booleans())
+    def test_grouped_taylor_loop_matches_dense_expm(self, seed, n, complex_start):
+        A, b, kwargs = _grouped_draw(seed, n, complex_start)
+        out = focksim.expm_multiply(A, b, **kwargs)
+        ref = _dense_expm(A, b, np.linspace(kwargs["start"], kwargs["stop"], kwargs["num"]))
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+        if _span(A, **kwargs) > 1:
+            assert np.array_equal(out, _grouped_series(A, b, **kwargs)[0])
+
+    def test_grouped_taylor_loop_cases(self):
+        # fixed draws of the generator above that take every branch of the
+        # grouped loop, each the term-by-term series to the bit: a series
+        # that serves several samples, with and without a last group of the
+        # samples left over, one that runs to its group's m*, and a series
+        # that serves one sample
+        seen = set()
+        for seed in range(40):
+            A, b, kwargs = _grouped_draw(seed, 1 + seed % 8, seed % 3 == 1)
+            out = focksim.expm_multiply(A, b, **kwargs)
+            if _span(A, **kwargs) == 1:
+                seen.add("d = 1")
+                continue
+            X, m_star, d, degrees = _grouped_series(A, b, **kwargs)
+            assert np.array_equal(out, X), seed
+            seen.update(name for name, hit in [
+                ("remainder", (kwargs["num"] - 1) % d > 0),
+                ("no remainder", (kwargs["num"] - 1) % d == 0),
+                ("to m*", m_star in degrees)] if hit)
+        assert seen == {"d = 1", "remainder", "no remainder", "to m*"}
+
+    def test_group_degree_covers_its_span_in_one_series(self):
+        # ||d h A||_1 = 3.5e-16 lies in (theta_1, 2 theta_1], where scipy
+        # picks degree 1 at 2 steps; one series over the span needs degree 2
+        A = sp.diags([5.47e-18, -5.47e-18], format="csr")
+        assert propagate._taylor_plan(A, 64.0, 65)[2:] == (2, 1, 64)
+
+    def test_theta_55_is_scipys(self):
+        assert propagate._THETA_55 == em._theta[55]
+
+    def test_benchmark_and_figure_points_take_the_per_sample_loop(self):
+        # one series per sample at fig4's 18 points, the sweep-nonlinear
+        # benchmark's 3 and traj-nonlinear's, so their outputs stay scipy's
+        # per-sample branch to the bit; read off the plan, without propagating
+        points = [(NonlinearParams(Omega=float(r), J=1.0, gamma=gamma),
+                   FockConfig(8, 8 if r <= 0.12 else (16 if r <= 0.5 else 24)),
+                   max(120.0 / gamma, 40.0), 257)
+                  for gamma in (0.5, 2.0) for r in np.logspace(-2, 0, 9)]
+        points += [(NonlinearParams(Omega=float(r), J=1.0, gamma=2.0), FockConfig(8, 12),
+                    30.0, 17) for r in np.logspace(math.log10(0.02), math.log10(0.3), 3)]
+        points.append((NonlinearParams(Omega=0.25, J=1.0, gamma=0.5), FockConfig(8, 12),
+                       40.0, 257))
+        for p, cfg, t_end, num in points:
+            A, _ = _sector_problem("nonlinear", p, cfg, vacuum_state(cfg))
+            assert _span(A, start=0.0, stop=t_end, num=num) == 1, (p, cfg)
 
     def test_zero_matrix_gives_constant_rows(self):
         b = np.array([0.3, -1.0, 2.5j])

@@ -58,14 +58,14 @@ def test_every_private_name_is_referenced():
     assert unused == []
 
 
-# The imports from scipy's private modules: focksim's propagator takes its
-# degree and step count from scipy and runs its products on scipy's CSR
-# kernel, and tests/test_focksim.py pins the result bit for bit to scipy's
-# per-sample branch.
+# The imports from scipy's private modules: the propagator takes its degree
+# and step count from scipy and runs its products on scipy's CSR kernel, and
+# tests/test_focksim.py pins the result bit for bit to scipy's per-sample
+# branch.
 ALLOWED_PRIVATE_SCIPY = {
-    ("focksim.py", "scipy.sparse._sparsetools", "csr_matvec"),
-    ("focksim.py", "scipy.sparse.linalg._expm_multiply", "LazyOperatorNormInfo"),
-    ("focksim.py", "scipy.sparse.linalg._expm_multiply", "_fragment_3_1"),
+    ("propagate.py", "scipy.sparse._sparsetools", "csr_matvec"),
+    ("propagate.py", "scipy.sparse.linalg._expm_multiply", "LazyOperatorNormInfo"),
+    ("propagate.py", "scipy.sparse.linalg._expm_multiply", "_fragment_3_1"),
 }
 
 
