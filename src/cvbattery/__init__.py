@@ -38,7 +38,6 @@ from .gaussian import (
     covariance_determinant,
     ergotropy_gaussian,
     passive_energy,
-    purity,
     quadrature_stats,
 )
 from .linear import (

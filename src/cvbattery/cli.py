@@ -8,7 +8,7 @@ Subcommands:
 All computations are deterministic: the only random draws (the norm
 estimator inside the Fock propagator) use a fixed seed and leave numpy's
 global RNG state untouched.  Exit codes: 0 success, 2 config error,
-3 non-convergence; a run that fails writes no ``--out`` file.
+3 non-convergence; a run that fails writes no CSV, to stdout or ``--out``.
 """
 
 import argparse
@@ -488,13 +488,13 @@ def main(argv=None) -> int:
         # run
         sc = parse_scenario(args.scenario, n_samples=args.samples, t_end=args.t_end,
                             route=args.route)
+        # render first, so that a run that fails writes nothing; kept as
+        # its lines, never joined into one text
+        lines = []
+        write_run_csv(sc, SimpleNamespace(write=lines.append))
         if args.out is None:
-            write_run_csv(sc, sys.stdout)
+            sys.stdout.writelines(lines)
         else:
-            # render first, so that a run that fails leaves no file behind;
-            # kept as its lines, never joined into one text
-            lines = []
-            write_run_csv(sc, SimpleNamespace(write=lines.append))
             with open(args.out, "w", newline="\n") as fh:
                 fh.writelines(lines)
         return 0

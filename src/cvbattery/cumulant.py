@@ -121,11 +121,12 @@ def integrate_cumulant(p: NonlinearParams, t_end: float,
     LSODA with relative/absolute tolerances ``RTOL``/``ATOL``, sampled on a
     uniform grid of ``n_samples`` points.  If the conserved determinant
     drifts beyond ``DET_DRIFT_TOL`` the run is repeated once with both
-    tolerances tightened by ``RETRY_TIGHTEN``.  A failed integration or a
-    non-finite state raises ``ConvergenceError``; it never only warns.
+    tolerances tightened by ``RETRY_TIGHTEN``.  ``t_end`` must be finite and
+    positive.  A failed integration or a non-finite state raises
+    ``ConvergenceError``; it never only warns.
     """
-    if t_end <= 0:
-        raise InvalidInputError("t_end must be positive")
+    if not (np.isfinite(t_end) and t_end > 0):
+        raise InvalidInputError("t_end must be finite and positive")
     if n_samples < 2:
         raise InvalidInputError("need at least 2 samples")
 
@@ -164,8 +165,7 @@ def steady_state_nonlinear(p: NonlinearParams) -> MomentState:
 
 def steady_energy_nonlinear(p: NonlinearParams) -> float:
     """Steady-state stored energy (omega_b/2)(sqrt(1 + (2 Omega/J)^2) - 1)."""
-    r = 2.0 * p.Omega / p.J
-    return p.omega_b / 2.0 * (math.sqrt(1.0 + r * r) - 1.0)
+    return p.omega_b * steady_state_nonlinear(p).b_num
 
 
 def steady_variances(p: NonlinearParams) -> QuadratureStats:

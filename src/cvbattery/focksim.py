@@ -115,9 +115,8 @@ class FockTrajectory:
     gets phase[j] * sector_states[:, j] from it and rho[l, k] the conjugate,
     with ``phase`` a power of i per column.  Every other entry is zero at all
     times.  Every observable is read from the half stack in one batched pass
-    without leaving the frame; ``states`` (n_samples, dim^2) and ``rhos``
-    (n_samples, dim, dim) unfold it into full-space arrays of rho, built anew
-    on each access.
+    without leaving the frame; ``rhos`` unfolds it into the full-space
+    (n_samples, dim, dim) array of rho, built anew on each access.
     """
 
     def __init__(self, times, sector_states, sector, phase, params, config, cutoff_ok):
@@ -133,10 +132,6 @@ class FockTrajectory:
     @property
     def omega_b(self):
         return self.params.omega_b
-
-    @property
-    def states(self) -> np.ndarray:
-        return self.rhos.reshape(len(self.times), -1)
 
     @property
     def rhos(self) -> np.ndarray:
@@ -263,10 +258,9 @@ def _folded_problem(kind: str, p, c: FockConfig, v0: np.ndarray):
     H = build_hamiltonian(kind, p, c)
     a, _ = mode_operators(c)
     kets = _sector(abs(H) + abs(a), v0.reshape(dim, dim).any(axis=1))
-    level_a = kets // c.cutoff_b
     H = H[kets][:, kets]
     rows = np.repeat(np.arange(kets.size), np.diff(H.indptr))
-    H.data *= _POWERS_OF_I[(level_a[H.indices] - level_a[rows]) % 4]  # V'HV, exactly
+    H.data *= _frame_phase(kets[H.indices] * dim + kets[rows], c)  # V'HV, exactly
     if np.any(H.data.real):
         raise InvalidInputError(f"{kind} Liouvillian is not real in the i^n_a frame: "
                                 "V'HV has a real part")

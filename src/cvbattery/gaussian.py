@@ -1,8 +1,8 @@
 """Single-mode Gaussian-state bookkeeping for the battery mode.
 
 Converts ladder-operator moments into quadrature variances, the covariance
-matrix determinant, purity, passive energy and ergotropy.  All functions are
-pure and accept scalars or arrays (of one shape), so a whole trajectory is
+matrix determinant, passive energy and ergotropy.  All functions are pure
+and accept scalars or arrays (of one shape), so a whole trajectory is
 evaluated in one call.
 """
 
@@ -127,9 +127,3 @@ def ergotropy_gaussian(energy, passive):
     """Extractable work E - E_passive; may be tiny-negative from round-off."""
     _check_finite(energy, passive)
     return energy - passive
-
-
-def purity(det):
-    """Purity 1/sqrt(D) of a single-mode Gaussian state."""
-    det = _clamped_det(det)
-    return 1.0 / np.sqrt(det)

@@ -72,7 +72,7 @@ def renormalized_frequency(g: float, gamma: float) -> complex:
     point; the root with non-negative real part is returned."""
     if g <= 0 or gamma < 0:
         raise InvalidInputError("require g > 0 and gamma >= 0")
-    G = np.sqrt(complex(g * g - (gamma / 4.0) ** 2))
+    G = np.sqrt(complex(_regime(g, gamma)[0]))
     if G.real < 0:
         G = -G
     return G
@@ -129,7 +129,7 @@ def energy_linear(t, p: LinearParams):
     if np.any(t < 0):
         raise InvalidInputError("time must be non-negative")
     env = _envelope(t, p.gamma, *_regime(p.g, p.gamma))
-    val = p.omega_b * (p.Omega / p.g) ** 2 * (1.0 - env) ** 2
+    val = steady_energy_linear(p) * (1.0 - env) ** 2
     return float(val) if val.ndim == 0 else val
 
 
@@ -148,7 +148,7 @@ def optimal_time_energy(p: LinearParams) -> float:
 
 def optimal_energy(p: LinearParams) -> float:
     """Maximum stored energy E(t_E) of the linear battery."""
-    base = p.omega_b * (p.Omega / p.g) ** 2
+    base = steady_energy_linear(p)
     if p.g <= exceptional_point(p.gamma):
         return base
     G = renormalized_frequency(p.g, p.gamma).real
@@ -163,8 +163,8 @@ _BRACKET_CHUNK = 8  # points whose grids make one array pass: 32 KiB per array
 def _point_arrays(ps):
     """(pref, gamma, disc, regime): one entry per point of ``ps``, each from
     the Python floats of that point as ``energy_linear`` computes it, pref
-    being the energy prefactor omega_b (Omega/g)^2."""
-    pref = np.array([p.omega_b * (p.Omega / p.g) ** 2 for p in ps])
+    being the energy prefactor ``steady_energy_linear``."""
+    pref = np.array([steady_energy_linear(p) for p in ps])
     gamma = np.array([p.gamma for p in ps])
     disc, regime = np.array([_regime(p.g, p.gamma) for p in ps]).reshape(-1, 2).T
     return pref, gamma, disc, regime

@@ -18,9 +18,8 @@ from .gaussian import MomentState, covariance_determinant, ergotropy_gaussian, p
 class BatteryMetrics:
     """Energy/power/ergotropy series plus the extracted optima."""
 
-    t_grid: np.ndarray
     energy: np.ndarray
-    power: np.ndarray  # defined on t_grid[1:]
+    power: np.ndarray  # defined on the samples after t = 0
     t_E: float
     E_tE: float
     t_P: float
@@ -69,7 +68,6 @@ def energy_metrics(times, energy) -> BatteryMetrics:
     t_E, E_tE, asym_e = _refine_max(t, energy)
     t_P, P_tP, asym_p = _refine_max(t[1:], power)
     return BatteryMetrics(
-        t_grid=t,
         energy=energy,
         power=power,
         t_E=t_E,

@@ -100,8 +100,9 @@ class TestIntegration:
 
     def test_validation(self):
         p = NonlinearParams()
-        with pytest.raises(InvalidInputError):
-            integrate_cumulant(p, -1.0)
+        for t_end in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(InvalidInputError, match="t_end must be finite and positive"):
+                integrate_cumulant(p, t_end)
         with pytest.raises(InvalidInputError):
             integrate_cumulant(p, 1.0, n_samples=1)
 

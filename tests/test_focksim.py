@@ -306,12 +306,12 @@ class TestEvolve:
         try:
             np.random.seed(11)
             before = np.random.get_state()
-            first = evolve("nonlinear", p, CFG, 10.0, n_samples=5).states
+            first = evolve("nonlinear", p, CFG, 10.0, n_samples=5).sector_states
             after = np.random.get_state()
             assert before[0] == after[0] and before[2:] == after[2:]
             assert np.array_equal(before[1], after[1])
             np.random.seed(12)
-            second = evolve("nonlinear", p, CFG, 10.0, n_samples=5).states
+            second = evolve("nonlinear", p, CFG, 10.0, n_samples=5).sector_states
         finally:
             np.random.set_state(saved)
         assert np.array_equal(first, second)
@@ -439,7 +439,7 @@ def test_sector_propagation_matches_full_space(kind, Omega, coupling, gamma, sta
     # propagates the k <= l half of S, a complex one all of S and A
     n = dim if kind == "linear" or start == "full" else 3 * 2
     assert traj.sector.size == (n * (n + 1) // 2 if start == "vacuum" else n * n)
-    assert np.max(np.abs(traj.states - ref)) < 1e-10
+    assert np.max(np.abs(traj.rhos.reshape(len(ref), -1) - ref)) < 1e-10
     ref_rhos = ref.reshape(-1, dim, dim)
     fields = ("a_mean", "a_num", "a_sq", "b_mean", "b_num", "b_sq")
     ref_moments = np.array([[getattr(extract_moments(r, c), f) for f in fields]
@@ -623,7 +623,7 @@ def test_complex_start_stays_complex(propagator_dtypes):
                   1.0, n_samples=3, initial_state=rho0)
     assert propagator_dtypes == [(np.float64, np.float64)]
     assert traj.sector_states.shape == (3, 36 * 37 // 2 + 36 * 35 // 2)  # |S| + |A|
-    assert np.array_equal(traj.states[0], rho0.reshape(-1))
+    assert np.array_equal(traj.rhos[0], rho0)
 
 
 def test_liouvillian_not_real_in_the_frame_is_refused(monkeypatch):
@@ -962,6 +962,34 @@ class TestPropagator:
                 ("no remainder", (kwargs["num"] - 1) % d == 0),
                 ("to m*", m_star in degrees)] if hit)
         assert seen == {"d = 1", "remainder", "no remainder", "to m*"}
+
+    def test_grouped_series_stop_at_the_oracles_degrees(self, monkeypatch):
+        # the values alone do not pin where a series stops: terms past its
+        # degree fall below the rounding of the sum.  A series first computes
+        # as many terms as the one before it used, then one at a time, so
+        # series k takes max(deg_k, deg_{k-1}) products (deg_{-1} = 1), with
+        # the degrees at which ``_grouped_series`` stops
+        matvec, calls = propagate.csr_matvec, []
+
+        def counted(*args):
+            calls.append(args[-1])
+            return matvec(*args)
+
+        monkeypatch.setattr(propagate, "csr_matvec", counted)
+        seen = set()
+        for seed in range(40):
+            A, b, kwargs = _grouped_draw(seed, 1 + seed % 8, seed % 3 == 1)
+            if _span(A, **kwargs) == 1:
+                continue
+            _, _, d, degrees = _grouped_series(A, b, **kwargs)
+            calls.clear()
+            focksim.expm_multiply(A, b, **kwargs)
+            assert len(calls) == sum(map(max, degrees, [1] + degrees[:-1])), seed
+            seen.update(name for name, hit in [
+                ("remainder", (kwargs["num"] - 1) % d > 0),
+                ("rise", np.any(np.diff([1] + degrees) > 0)),
+                ("fall", np.any(np.diff(degrees) < 0))] if hit)
+        assert seen == {"remainder", "rise", "fall"}
 
     def test_group_degree_covers_its_span_in_one_series(self):
         # ||d h A||_1 = 3.5e-16 lies in (theta_1, 2 theta_1], where scipy

@@ -14,7 +14,6 @@ from cvbattery.gaussian import (
     covariance_determinant,
     ergotropy_gaussian,
     passive_energy,
-    purity,
     quadrature_stats,
 )
 
@@ -61,7 +60,6 @@ def test_thermal_state_det_purity_passive():
     m = MomentState(b_num=n_bar)
     det = covariance_determinant(m)
     assert det == pytest.approx((1.0 + 2.0 * n_bar) ** 2, rel=1e-14)
-    assert purity(det) == pytest.approx(1.0 / (1.0 + 2.0 * n_bar), rel=1e-12)
     # a thermal state is passive: all its energy is locked
     omega = 1.3
     assert passive_energy(omega, det) == pytest.approx(omega * n_bar, rel=1e-12)
@@ -115,13 +113,10 @@ def test_random_physical_moments_obey_heisenberg_bound():
 def test_unphysical_determinant_raises():
     with pytest.raises(UnphysicalStateError):
         passive_energy(1.0, 0.5)
-    with pytest.raises(UnphysicalStateError):
-        purity(0.9)
 
 
 def test_round_off_determinant_clamped():
     assert passive_energy(1.0, 1.0 - 1e-12) == 0.0
-    assert purity(1.0 - 1e-12) == 1.0
 
 
 def test_non_finite_inputs_rejected():
@@ -172,7 +167,6 @@ def test_array_calls_match_scalar_calls(states, omega):
                             [getattr(quadrature_stats(s), field) for s in scalars])
     det = covariance_determinant(m)
     _assert_elementwise(det, [covariance_determinant(s) for s in scalars])
-    _assert_elementwise(purity(det), [purity(d) for d in det])
     passive = passive_energy(omega, det)
     _assert_elementwise(passive, [passive_energy(omega, d) for d in det])
     energy = omega * m.b_num
@@ -199,5 +193,3 @@ def test_one_bad_sample_fails_the_array(states, data):
     assert det[i] < 1.0 - DET_GUARD
     with pytest.raises(UnphysicalStateError):
         passive_energy(1.0, det)
-    with pytest.raises(UnphysicalStateError):
-        purity(det)

@@ -1,13 +1,17 @@
 """Static checks on the package source: no unused import, no private
-module-level name that nothing references, and no import from scipy's private
-modules beyond the one the Fock propagator needs."""
+module-level name that nothing references, no import from scipy's private
+modules beyond the one the Fock propagator needs, and every per-layer time
+and call count that the benchmark names still traced."""
 
 import ast
+import json
+import types
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "cvbattery"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cvbattery"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -99,3 +103,20 @@ def test_private_scipy_import_check_sees_both_forms(tmp_path):
         ("mod.py", "scipy.sparse._sputils", None),
         ("mod.py", "scipy.linalg._decomp_qr", "qr"),
     ]
+
+
+def test_benchmark_layer_names_are_traced():
+    # a public function that BENCHMARK.json times or counts, removed or
+    # renamed, fails here and not only in perfbench/run.py --self-check; the
+    # tracer is read and run from its source, so nothing is written beside it
+    path = ROOT / "perfbench" / "tracer.py"
+    tracer = types.ModuleType("tracer")
+    exec(compile(path.read_text(), str(path), "exec"), tracer.__dict__)
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        produced = traced.layer_metrics([])
+    finally:
+        traced.uninstall()
+    assert [n for n in names if n.endswith((".calls", ".s")) and n not in produced] == []
