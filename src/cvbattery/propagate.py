@@ -174,7 +174,7 @@ def expm_multiply(A, B, *, start, stop, num) -> np.ndarray:
                 c1 = c2
             guess = q
             # the nearer samples, from the same terms (none at d = 1)
-            for row, w in zip(G[:-1], W[:, :q + 1]):
-                np.einsum("j,jk->k", w, block[:q + 1], out=row)
+            for i in range(len(G) - 1):
+                np.einsum("j,jk->k", W[i, :q + 1], block[:q + 1], out=G[i])
             G *= etas[:len(G)]
     return X
