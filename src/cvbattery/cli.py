@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import lambertw
 
 from . import cumulant, focksim, linear, metrics, perturbation
-from .errors import ConfigError, ConvergenceError, CvBatteryError
+from .errors import ConfigError, CvBatteryError
 from .gaussian import MomentState, quadrature_stats
 
 ROUTES = ("analytic", "cumulant", "perturbation", "fock", "all")
@@ -109,7 +109,7 @@ _KEYS = {f.name: f.type for f in fields(Scenario)}
 def parse_scenario(path, **overrides) -> Scenario:
     """Parse a flat key = value scenario file; ``overrides`` that are not
     None replace its values before any check."""
-    raw = {}
+    raw, set_on = {}, {}
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -125,6 +125,10 @@ def parse_scenario(path, **overrides) -> Scenario:
         key, value = key.strip(), value.strip()
         if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}", line=ln)
+        if key in set_on:
+            raise ConfigError(f"repeated key {key!r}, first set on line {set_on[key]}",
+                              line=ln)
+        set_on[key] = ln
         try:
             raw[key] = _KEYS[key](value)
         except ValueError:
@@ -302,14 +306,14 @@ def write_run_csv(sc: Scenario, out):
 
 
 def _write_sweep_csv(sc: Scenario, out, comments):
-    param, lo, hi, n = sc.sweep_param, sc.sweep_min, sc.sweep_max, sc.sweep_points
     route = sc.route if sc.route != "all" else (
         "analytic" if sc.coupling == "linear" else "cumulant")
     rows = [(value, *_sweep_point(point, route)) for value, point in _sweep_points(sc)]
-    comments = comments + [f"sweep {param} {sc.sweep_scale} over "
-                           f"[{_cell(lo)}, {_cell(hi)}] with {n} points"]
+    comments = comments + [f"sweep {sc.sweep_param} {sc.sweep_scale} over "
+                           f"[{_cell(sc.sweep_min)}, {_cell(sc.sweep_max)}] with "
+                           f"{sc.sweep_points} points"]
     _write_csv(out, comments,
-               [param, *_OPTIMA, "energy_ss", "ergotropy_ss"], rows)
+               [sc.sweep_param, *_OPTIMA, "energy_ss", "ergotropy_ss"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -459,10 +463,10 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run a scenario file")
     p_run.add_argument("scenario")
-    p_run.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    p_run.add_argument("--samples", type=int, default=None)
-    p_run.add_argument("--t-end", type=float, default=None)
-    p_run.add_argument("--route", choices=ROUTES, default=None)
+    p_run.add_argument("--out", help="output CSV path (default stdout)")
+    p_run.add_argument("--samples", type=int)
+    p_run.add_argument("--t-end", type=float)
+    p_run.add_argument("--route", choices=ROUTES)
 
     p_fig = sub.add_parser("figure", help="emit figure-data CSV bundle")
     p_fig.add_argument("name", choices=sorted(FIGURES))
@@ -501,7 +505,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, CvBatteryError) as exc:
+    except CvBatteryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -51,30 +51,27 @@ class NonlinearParams:
 
 def cumulant_rhs(t, y, p: NonlinearParams):
     """Time derivatives of the cumulant state vector y, whose components are
-    Re<a>, Im<a>, <a'a>, <b'b>, Re<aa>, Im<aa>, Re<bb>, Im<bb>.
-
+    Re<a>, Im<a>, <a'a>, <b'b>, Re<aa>, Im<aa>, Re<bb>, Im<bb>:
+        d<a>/dt  = -(gamma/2) <a> - i J <bb> - i Omega
+        d<aa>/dt = -gamma <aa> - 2i Omega <a> - 2i J <a><bb>
+        d<bb>/dt = -2i J <a> (1 + 2 <b'b>)
     Called directly by the integrator, so it reads y once, into Python
-    floats, and builds no objects beyond them, a few complex numbers and the
-    returned tuple.
+    floats, and writes each part out in real arithmetic with the sums and
+    products that Python's complex arithmetic takes: every nonzero value is
+    the complex form's to the bit (a zero may differ in sign).
     """
     gamma, J, Omega = p.gamma, p.J, p.Omega
     y0, y1, y2, y3, y4, y5, y6, y7 = y.tolist()
-    a = complex(y0, y1)
-    aa = complex(y4, y5)
-    bb = complex(y6, y7)
-    flow = J * (a.conjugate() * bb).imag  # Im(<a'><bb>)
-    da = -(gamma / 2.0) * a - 1j * J * bb - 1j * Omega
-    daa = -gamma * aa - 2j * Omega * a - 2j * J * a * bb
-    dbb = -2j * J * a - 4j * J * a * y3
+    flow = J * (y0 * y7 - y1 * y6)  # Im(<a'><bb>)
     return (
-        da.real,
-        da.imag,
-        -gamma * y2 + 2.0 * flow - 2.0 * Omega * a.imag,
+        -(gamma / 2.0) * y0 + J * y7,
+        -(gamma / 2.0) * y1 - J * y6 - Omega,
+        -gamma * y2 + 2.0 * flow - 2.0 * Omega * y1,
         -4.0 * flow,
-        daa.real,
-        daa.imag,
-        dbb.real,
-        dbb.imag,
+        -gamma * y4 + 2.0 * Omega * y1 + (2.0 * J * y1 * y6 + 2.0 * J * y0 * y7),
+        -gamma * y5 - 2.0 * Omega * y0 - (2.0 * J * y0 * y6 - 2.0 * J * y1 * y7),
+        2.0 * J * y1 + 4.0 * J * y1 * y3,
+        -2.0 * J * y0 - 4.0 * J * y0 * y3,
     )
 
 

@@ -21,6 +21,10 @@ a real R at all times.  R is also Hermitian, and a real Liouvillian maps its
 real symmetric and real antisymmetric parts to themselves, so only the upper
 triangle of each is propagated: about half the entries, under an operator
 with about half the nonzeros.
+
+The six Fock moments are read from that half stack, each entry weighed by the
+mode operators at its index pair (``FockTrajectory.moments``).  ``evolve``
+checks no sample: ``check_density_matrix(traj.rhos)`` checks them all.
 """
 
 from dataclasses import dataclass, replace
@@ -71,18 +75,6 @@ def mode_operators(c: FockConfig):
     a = sp.kron(destroy(c.cutoff_a), sp.identity(c.cutoff_b), format="csr")
     b = sp.kron(sp.identity(c.cutoff_a), destroy(c.cutoff_b), format="csr")
     return a, b
-
-
-@lru_cache(maxsize=8)
-def _moment_weights(c: FockConfig) -> sp.csr_matrix:
-    """Real sparse (dim^2, 6) matrix W with vec(rho) @ W[:, j] = Tr(rho O)
-    for O = a, a'a, aa, b, b'b, bb: column j is vec(O^T), and the Fock-basis
-    entries of these operators are real.  Shared through the cache: callers
-    must not modify W in place.
-    """
-    a, b = mode_operators(c)
-    ops = (a, a.conj().T @ a, a @ a, b, b.conj().T @ b, b @ b)
-    return sp.hstack([op.T.reshape((-1, 1)).real for op in ops], format="csr")
 
 
 def build_hamiltonian(kind: str, p, c: FockConfig) -> sp.csr_matrix:
@@ -141,18 +133,25 @@ class FockTrajectory:
     def moments(self) -> np.ndarray:
         """(n_samples, 6) complex <a>, <a'a>, <aa>, <b>, <b'b>, <bb>, from one
         real product of the stack with folded weights.  Column j stands for
-        rho[k, l] and rho[l, k], so its weight is phase[j] W[k, l] +
-        conj(phase[j]) W[l, k], with W from ``_moment_weights``: that is
-        f (W[k, l] + W[l, k]) on S and i f (W[k, l] - W[l, k]) on A, f being
-        the power of i that every entry the moment weighs carries.  The real
-        and imaginary parts of these weights are the 12 columns of one real
-        product, so the stack is never copied to complex."""
+        rho[k, l] and rho[l, k], so O weighs it with phase[j] O[l, k] +
+        conj(phase[j]) O[k, l], the second term only off the diagonal: as O is
+        real in the Fock basis and phase[j] a power of i, that is exactly
+        Re(phase[j]) (O[l, k] + O[k, l]) + i Im(phase[j]) (O[l, k] - O[k, l]),
+        read from the sparse operators at the sector's index pairs.  The real
+        and imaginary parts are the 12 columns of one real product, so the
+        stack is never copied to complex."""
         if self._moments is None:
-            dim = self.config.cutoff_a * self.config.cutoff_b
-            k, l = np.divmod(self.sector, dim)
-            W = _unfold_weights(k, l, self.phase, dim) @ _moment_weights(self.config)
-            W = sp.hstack([W.real, W.imag], format="csc")
-            W.eliminate_zeros()
+            k, l = np.divmod(self.sector, self.config.cutoff_a * self.config.cutoff_b)
+            a, b = mode_operators(self.config)
+            parts = []
+            for o, op in enumerate((a, a.conj().T @ a, a @ a, b, b.conj().T @ b, b @ b)):
+                lk = np.asarray(op[l, k]).ravel().real
+                kl = np.where(k != l, np.asarray(op[k, l]).ravel().real, 0.0)
+                w = np.array([self.phase.real * (lk + kl), self.phase.imag * (lk - kl)])
+                part, j = np.nonzero(w)  # real or imaginary part, stack column
+                parts.append((w[part, j], j, o + 6 * part))
+            data, row, col = map(np.concatenate, zip(*parts))
+            W = sp.csc_matrix((data, (row, col)), shape=(self.sector.size, 12))
             # gather the few stack columns that any moment weights (165 of
             # 1176 at (8,12)) first: scipy copies a product's dense operand
             # transposed, and a copy of the whole stack raised the peak RSS
@@ -297,23 +296,18 @@ def _folded_problem(kind: str, p, c: FockConfig, v0: np.ndarray):
     return M[keep][:, keep], x0[keep], sector[keep], phase[keep]
 
 
-def _unfold_weights(rows, cols, coef, n: int) -> sp.csr_matrix:
-    """Complex sparse (coef.size, n^2) matrix U such that stack @ U is the
-    row-major vectorisation of sum_j stack[:, j] (coef[j] |rows[j]><cols[j]|
-    + conj(coef[j]) |cols[j]><rows[j]|), a diagonal entry counted once: the
-    Hermitian matrices that a folded stack holds."""
+def _unfold(stack, rows, cols, coef, n: int) -> np.ndarray:
+    """(n_samples, n, n): the Hermitian matrices sum_j stack[:, j]
+    (coef[j] |rows[j]><cols[j]| + conj(coef[j]) |cols[j]><rows[j]|) that a
+    folded stack holds, a diagonal entry counted once.  They are the product
+    of the stack with one sparse (coef.size, n^2) matrix U, taken as two real
+    products, so the real stack is never copied to complex, and real when
+    every coef is real."""
     j = np.arange(coef.size)
     off = rows != cols
-    return sp.csr_matrix((np.r_[coef, coef[off].conj()],
-                          (np.r_[j, j[off]], np.r_[rows * n + cols, (cols * n + rows)[off]])),
-                         shape=(coef.size, n * n))
-
-
-def _unfold(stack, rows, cols, coef, n: int) -> np.ndarray:
-    """(n_samples, n, n): stack @ ``_unfold_weights(rows, cols, coef, n)``
-    as two real products, so the real stack is never copied to complex, and
-    real when every coef is real."""
-    U = _unfold_weights(rows, cols, coef, n)
+    U = sp.csr_matrix((np.r_[coef, coef[off].conj()],
+                       (np.r_[j, j[off]], np.r_[rows * n + cols, (cols * n + rows)[off]])),
+                      shape=(coef.size, n * n))
     out = stack @ U.real
     if np.any(coef.imag):
         out = out + 1j * (stack @ U.imag)
@@ -327,7 +321,6 @@ def evolve(
     t_end: float,
     n_samples: int = 129,
     initial_state: np.ndarray | None = None,
-    validate: bool = False,
 ) -> FockTrajectory:
     """Propagate the rotated-frame master equation and sample uniformly.
 
@@ -360,10 +353,8 @@ def evolve(
     level for the charger and the linear battery, two for the nonlinear
     battery (b'b' moves n_b by two).  Below that, the evolution never
     reached the truncation.
-    ``validate`` unfolds every sample and checks it with
-    ``check_density_matrix`` on the principal block of R that the
-    propagated kets span: rho vanishes outside it, and V is unitary, so that
-    block is a density matrix exactly when rho is.
+    No sample is checked: ``check_density_matrix(traj.rhos)`` checks them
+    all.
     """
     if not (np.isfinite(t_end) and t_end > 0):
         raise InvalidInputError("t_end must be finite and positive")
@@ -397,11 +388,6 @@ def evolve(
                                        (c.cutoff_a, c.cutoff_b),
                                        (1, 2 if kind == "nonlinear" else 1))
     )
-    if validate:
-        basis = np.union1d(kets, bras)
-        check_density_matrix(_unfold(out, np.searchsorted(basis, kets),
-                                     np.searchsorted(basis, bras),
-                                     phase * _frame_phase(sector, c).conj(), basis.size))
     return FockTrajectory(t_grid, out, sector, phase, p, c, cutoff_ok)
 
 

@@ -216,8 +216,14 @@ def power_optima(ps):
     relative, so the refinement reproduces the arithmetic of a scalar
     ``energy_linear(t, p) / t`` bit for bit: the energy prefactor and
     ``_regime`` are Python floats per point and the square of 1 - envelope
-    is C ``pow``, not ``x*x``.  scipy's bounded ``minimize_scalar`` is not
-    used: on fig2's 801-point grid it moved t_P by up to 5e-8 relative.
+    is C ``pow`` (``np.float_power`` loops over it), not ``x*x`` or
+    ``np.power``.  scipy's bounded ``minimize_scalar`` is not used: on
+    fig2's 801-point grid it moved t_P by up to 5e-8 relative.
+
+    Accuracy against the stationary point of E(t)/t at 50 digits, on fig2's
+    grid: median 5e-9 relative, 167 of 801 beyond 1e-8, p99 2.8e-8, worst
+    4.0e-8.  A maximizer past the bracket window is not found: at g/gamma =
+    0.01, t_P = T_max = 20 pi/g, 1.8e-4 short of it, and P is 1.2e-8 low.
 
     The brackets are found ``_BRACKET_CHUNK`` points at a time, their grids
     one (points, 512) array, with the arithmetic of ``energy_linear`` on one
@@ -234,8 +240,7 @@ def power_optima(ps):
 
     def power(t, idx):
         env = _envelopes(t, idx, points)
-        sq = np.array([math.pow(x, 2.0) for x in (1.0 - env).tolist()])  # C pow
-        return pref[idx] * sq / t
+        return pref[idx] * np.float_power(1.0 - env, 2.0) / t  # C pow
 
     a, b = _power_brackets(ps, points)
     c = b - _GOLDEN * (b - a)

@@ -19,6 +19,7 @@ from cvbattery.cumulant import (
 )
 from cvbattery.focksim import (
     FockConfig,
+    check_density_matrix,
     conserved_charge_drift,
     converge_cutoffs,
     evolve,
@@ -80,7 +81,8 @@ def fock_linear():
     p = LinearParams(omega_b=1.0, Omega=0.1, g=0.5, gamma=1.0)
     cfg = FockConfig(cutoff_a=12, cutoff_b=12)
     t0 = time.perf_counter()
-    traj = evolve("linear", p, cfg, 40.0, n_samples=161, validate=True)
+    traj = evolve("linear", p, cfg, 40.0, n_samples=161)
+    check_density_matrix(traj.rhos)
     return traj, time.perf_counter() - t0
 
 
@@ -93,7 +95,8 @@ def fock_nonlinear():
     # the state is steady long before t = 80 (relaxation rate gamma/2), so
     # the cutoff search does not need the full window
     cfg = converge_cutoffs("nonlinear", p, FockConfig(8, 8), t_end=80.0)
-    traj = evolve("nonlinear", p, cfg, 240.0, n_samples=33, validate=True)
+    traj = evolve("nonlinear", p, cfg, 240.0, n_samples=33)
+    check_density_matrix(traj.rhos)
     return traj, cfg, time.perf_counter() - t0
 
 
@@ -354,7 +357,7 @@ def test_criterion_10_property_suite(fock_linear, fock_nonlinear):
         det_min = min(det_min, dets.min())
     checks.append(("det >= 1 - 1e-6 on fock trajectories",
                    det_min >= 1.0 - 1e-6))
-    # the fixtures' evolve(validate=True) checked every sample on the sector
+    # the fixtures ran check_density_matrix on every sample
     checks.append(("trace/hermiticity/positivity on all samples", True))
     drift = conserved_charge_drift(
         NonlinearParams(omega_b=1.0, Omega=0.0, J=1.0, gamma=0.0),

@@ -62,6 +62,14 @@ class TestParseScenario:
             cli.parse_scenario(path)
         assert exc.value.line == 3
 
+    def test_repeated_key_reports_both_lines(self, tmp_path, capsys):
+        # a second value for a key is refused, not silently kept
+        text = "coupling = linear\ng = 0.5\nOmega = 0.1\n\nOmega = 0.2\n"
+        with pytest.raises(ConfigError, match="repeated key 'Omega', first set on line 3") as exc:
+            cli.parse_scenario(write_scenario(tmp_path, text))
+        assert exc.value.line == 5
+        _assert_config_error(tmp_path, capsys, text, "line 5: repeated key 'Omega'")
+
     def test_bad_value_reports_line(self, tmp_path):
         path = write_scenario(tmp_path, "coupling = linear\ng = fast\n")
         with pytest.raises(ConfigError) as exc:

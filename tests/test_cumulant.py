@@ -29,6 +29,21 @@ def _rates(p, m=MomentState()):
                        a_sq=complex(d[4], d[5]), b_sq=complex(d[6], d[7]))
 
 
+def _complex_rhs(t, y, p):
+    """The cumulant equations in Python's complex arithmetic: the oracle of
+    ``cumulant_rhs``, which writes out the same sums and products in real
+    arithmetic."""
+    gamma, J, Omega = p.gamma, p.J, p.Omega
+    y0, y1, y2, y3, y4, y5, y6, y7 = y.tolist()
+    a, aa, bb = complex(y0, y1), complex(y4, y5), complex(y6, y7)
+    flow = J * (a.conjugate() * bb).imag
+    da = -(gamma / 2.0) * a - 1j * J * bb - 1j * Omega
+    daa = -gamma * aa - 2j * Omega * a - 2j * J * a * bb
+    dbb = -2j * J * a - 4j * J * a * y3
+    return (da.real, da.imag, -gamma * y2 + 2.0 * flow - 2.0 * Omega * a.imag, -4.0 * flow,
+            daa.real, daa.imag, dbb.real, dbb.imag)
+
+
 class TestRhs:
     def test_vacuum_initial_slope(self):
         p = NonlinearParams(Omega=0.25, J=1.0, gamma=0.5)
@@ -54,6 +69,28 @@ class TestRhs:
         assert d.b_num == pytest.approx(-4.0 * flow)
         assert d.a_sq == pytest.approx(-0.6 * s.a_sq - 0.2j * a - 4j * a * bb)
         assert d.b_sq == pytest.approx(-4j * a - 8j * a * 0.4)
+
+    def test_real_form_equals_the_complex_form(self):
+        rng = np.random.default_rng(0)
+        for i in range(10_000):
+            p = NonlinearParams(Omega=0.0 if i % 5 == 0 else rng.uniform(0.0, 2.0),
+                                J=rng.uniform(0.1, 3.0),
+                                gamma=0.0 if i % 3 == 0 else rng.uniform(0.0, 3.0))
+            y = rng.normal(size=8) * 10.0 ** rng.integers(-6, 3)
+            if i % 7 == 0:
+                y[rng.random(8) < 0.5] = 0.0  # exact zeros, as in the vacuum start
+            fast, ref = cumulant_rhs(0.0, y, p), _complex_rhs(0.0, y, p)
+            assert fast == ref, (p, y)
+            if i % 7:  # a zero derivative may differ in sign, no other value
+                assert np.array(fast).tobytes() == np.array(ref).tobytes(), (p, y)
+
+    @pytest.mark.parametrize("Omega,gamma,t_end", [(0.25, 0.0, 10.0), (0.25, 0.5, 40.0),
+                                                   (0.05, 0.5, 40.0), (1.0, 0.5, 40.0)])
+    def test_fig3_integrations_equal_the_complex_form(self, monkeypatch, Omega, gamma, t_end):
+        p = NonlinearParams(Omega=Omega, J=1.0, gamma=gamma)
+        fast = integrate_cumulant(p, t_end, 2001).states
+        monkeypatch.setattr(cumulant, "cumulant_rhs", _complex_rhs)
+        assert np.array_equal(fast, integrate_cumulant(p, t_end, 2001).states)
 
     def test_steady_state_is_fixed_point(self):
         for Omega, gamma in [(0.05, 0.5), (0.25, 0.5), (1.0, 2.0)]:

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.sparse.linalg import _expm_multiply as em
@@ -173,9 +173,8 @@ class TestEvolve:
     def test_validate_and_invariants(self):
         p = NonlinearParams(Omega=0.25, J=1.0, gamma=0.5)
         cfg = FockConfig(cutoff_a=8, cutoff_b=10)
-        traj = evolve("nonlinear", p, cfg, 10.0, n_samples=21, validate=True)
-        for rho in traj.rhos:
-            check_density_matrix(rho)  # would raise on violation
+        traj = evolve("nonlinear", p, cfg, 10.0, n_samples=21)
+        check_density_matrix(traj.rhos)  # every sample; raises on a violation
         assert traj.cutoff_ok
 
     def test_cutoff_flag_trips_when_truncation_too_small(self):
@@ -257,7 +256,9 @@ class TestEvolve:
         p = NonlinearParams(Omega=0.25, J=1.0, gamma=0.5)
         cfg = FockConfig(cutoff_a=4, cutoff_b=6)
         dim = 24
-        sector = evolve("nonlinear", p, cfg, 2.0, n_samples=5, validate=True).sector
+        traj = evolve("nonlinear", p, cfg, 2.0, n_samples=5)
+        check_density_matrix(traj.rhos)
+        sector = traj.sector
         # populations of |0,0> and |1,0>
         ground, excited = np.searchsorted(sector, [0, cfg.cutoff_b * (dim + 1)])
         assert sector[excited] == cfg.cutoff_b * (dim + 1)
@@ -269,9 +270,9 @@ class TestEvolve:
             return out
 
         monkeypatch.setattr(focksim, "expm_multiply", tampered)
-        evolve("nonlinear", p, cfg, 2.0, n_samples=5)  # unchecked
+        traj = evolve("nonlinear", p, cfg, 2.0, n_samples=5)  # evolve checks no sample
         with pytest.raises(UnphysicalStateError, match="negative eigenvalue"):
-            evolve("nonlinear", p, cfg, 2.0, n_samples=5, validate=True)
+            check_density_matrix(traj.rhos)
 
     def test_initial_state_honoured(self):
         dim = CFG.cutoff_a * CFG.cutoff_b
@@ -401,6 +402,56 @@ def test_batched_observables_match_per_sample(kind, p, rho0):
     if rho0 is not None:
         assert np.max(np.abs([m.b_mean for m in batched])) > 1e-3
         assert np.max(np.abs([m.a_mean for m in batched])) > 1e-3
+
+
+def _moments_by_unfolded_weights(traj):
+    """The moments as the stack times U W, the oracle of the fold in
+    ``FockTrajectory.moments``: row j of U puts phase[j] on the row-major
+    vec(rho) entry (k, l) of sector[j] and its conjugate on (l, k), and
+    column o of the real W is vec(O^T), so vec(rho) @ W[:, o] = Tr(rho O).
+    The product with the stack is the one ``moments`` takes."""
+    c = traj.config
+    dim = c.cutoff_a * c.cutoff_b
+    a, b = mode_operators(c)
+    ops = (a, a.conj().T @ a, a @ a, b, b.conj().T @ b, b @ b)
+    W = sp.hstack([op.T.reshape((-1, 1)).real for op in ops], format="csr")
+    k, l = np.divmod(traj.sector, dim)
+    j, off = np.arange(k.size), k != l
+    U = sp.csr_matrix((np.r_[traj.phase, traj.phase[off].conj()],
+                       (np.r_[j, j[off]], np.r_[k * dim + l, (l * dim + k)[off]])),
+                      shape=(k.size, dim * dim))
+    W = U @ W
+    W = sp.hstack([W.real, W.imag], format="csc")
+    W.eliminate_zeros()
+    cols = np.unique(W.indices)
+    P = traj.sector_states[:, cols] @ W[cols]
+    return P[:, :6] + 1j * P[:, 6:]
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.sampled_from(["linear", "nonlinear"]),
+    st.floats(0.01, 1.0),  # Omega
+    st.floats(0.2, 2.0),  # g or J
+    st.floats(0.0, 2.0),  # gamma
+    st.integers(2, 8),  # cutoff_a
+    st.integers(2, 8),  # cutoff_b
+    st.booleans(),  # a random complex start, else the vacuum
+    st.integers(0, 2**32 - 1),
+)
+# the benchmark's two Fock points
+@example("nonlinear", 0.25, 1.0, 0.5, 8, 12, False, 0)
+@example("linear", 0.1, 0.5, 1.0, 6, 6, False, 0)
+def test_folded_moments_equal_the_unfolded_weights(kind, Omega, coupling, gamma, ca, cb,
+                                                   complex_start, seed):
+    c = FockConfig(cutoff_a=ca, cutoff_b=cb)
+    if kind == "linear":
+        p = LinearParams(Omega=Omega, g=coupling, gamma=gamma)
+    else:
+        p = NonlinearParams(Omega=Omega, J=coupling, gamma=gamma)
+    rho0 = _random_density_matrix(ca * cb, seed) if complex_start else None
+    traj = evolve(kind, p, c, 2.0, n_samples=5, initial_state=rho0)
+    assert np.array_equal(traj.moments(), _moments_by_unfolded_weights(traj))
 
 
 def _parity_projected(rho, c):
