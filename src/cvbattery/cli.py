@@ -151,7 +151,7 @@ def parse_scenario(path, **overrides) -> Scenario:
         raise ConfigError(f"t_end must be finite and positive, got {sc.t_end:g}")
     try:
         sc.params()
-        focksim.FockConfig(cutoff_a=sc.cutoff_a, cutoff_b=sc.cutoff_b)
+        focksim.FockConfig(sc.cutoff_a, sc.cutoff_b)
     except CvBatteryError as exc:
         raise ConfigError(str(exc))
     sweep_keys = {k for k in raw if k.startswith("sweep_")}
@@ -172,6 +172,11 @@ def parse_scenario(path, **overrides) -> Scenario:
                 point.params()
             except CvBatteryError as exc:
                 raise ConfigError(f"sweep point {sc.sweep_param} = {value:g}: {exc}")
+    # a sweep of route all takes a closed-form route (``_write_sweep_csv``)
+    for key in ("cutoff_a", "cutoff_b"):
+        if key in set_on and sc.route != "fock" and (sc.route != "all" or sc.sweep_param):
+            raise ConfigError(f"{key!r} is read by the fock route only, which this run "
+                              "never takes", line=set_on[key])
     return sc
 
 
@@ -214,12 +219,11 @@ def _route_series(sc: Scenario, route: str):
     if route == "cumulant":
         traj = cumulant.integrate_cumulant(p, sc.t_end, sc.n_samples)
         return (*_series_from_traj(traj, "gaussian"), None)
-    if route == "fock":
-        cfg = focksim.FockConfig(cutoff_a=sc.cutoff_a, cutoff_b=sc.cutoff_b)
-        traj = focksim.evolve(sc.coupling, p, cfg, sc.t_end, sc.n_samples)
-        _warn_if_truncated(traj)
-        return (*_series_from_traj(traj, "exact"), None)
-    raise ConfigError(f"unknown route {route!r}")
+    # fock, the one route left: parse_scenario refuses any other name
+    cfg = focksim.FockConfig(sc.cutoff_a, sc.cutoff_b)
+    traj = focksim.evolve(sc.coupling, p, cfg, sc.t_end, sc.n_samples)
+    _warn_if_truncated(traj)
+    return (*_series_from_traj(traj, "exact"), None)
 
 
 def _warn_if_truncated(traj):
@@ -306,8 +310,10 @@ def write_run_csv(sc: Scenario, out):
 
 
 def _write_sweep_csv(sc: Scenario, out, comments):
-    route = sc.route if sc.route != "all" else (
-        "analytic" if sc.coupling == "linear" else "cumulant")
+    route = sc.route
+    if route == "all":  # one closed-form route per sweep, named in a note
+        route = "analytic" if sc.coupling == "linear" else "cumulant"
+        comments = comments + [f"note: route all: every point takes the {route} route"]
     rows = [(value, *_sweep_point(point, route)) for value, point in _sweep_points(sc)]
     comments = comments + [f"sweep {sc.sweep_param} {sc.sweep_scale} over "
                            f"[{_cell(sc.sweep_min)}, {_cell(sc.sweep_max)}] with "
@@ -367,11 +373,9 @@ def _figure_fig3(outdir):
     (c_f).  The Omega = J/4 column of c_f is the b_e trajectory, so every
     point is integrated once."""
     paths = []
-    J = 1.0
-    moderate = {}  # Omega -> battery population on the c_f grid
     # columns 1 (gamma = 0) and 2 (gamma = J/2), both at Omega = J/4
     for tag, gamma in (("a_d", 0.0), ("b_e", 0.5)):
-        p = cumulant.NonlinearParams(omega_b=1.0, Omega=0.25, J=J, gamma=gamma)
+        p = cumulant.NonlinearParams(omega_b=1.0, Omega=0.25, J=1.0, gamma=gamma)
         t_end = 10.0 if gamma == 0.0 else 40.0
         traj = cumulant.integrate_cumulant(p, t_end, 2001)
         t, energy = traj.times, traj.battery_population()
@@ -382,15 +386,15 @@ def _figure_fig3(outdir):
         else:
             header = ["t", "energy_cumulant", "energy_weak_driving"]
             approx = [perturbation.weak_driving_energy(t, p)]
-            moderate[p.Omega] = energy
+            moderate = energy  # the Omega = J/4 column of c_f
         paths.append(_figure_csv(
             outdir, f"fig3_{tag}_timeseries.csv",
             f"nonlinear battery, Omega=J/4, gamma={_cell(gamma)}, J=1", header,
             np.column_stack([t, energy, *approx]).tolist()))
     # column 3: moderate driving at gamma = J/2 for three drive amplitudes
     drives = (0.05, 0.25, 1.0)
-    cols = [moderate[om] if om in moderate else cumulant.integrate_cumulant(
-                cumulant.NonlinearParams(omega_b=1.0, Omega=om, J=J, gamma=0.5),
+    cols = [moderate if om == 0.25 else cumulant.integrate_cumulant(
+                cumulant.NonlinearParams(omega_b=1.0, Omega=om, J=1.0, gamma=0.5),
                 40.0, 2001).battery_population() for om in drives]
     paths.append(_figure_csv(
         outdir, "fig3_c_f_moderate.csv",
@@ -485,9 +489,7 @@ def main(argv=None) -> int:
 
             outdir = Path(args.out)
             outdir.mkdir(parents=True, exist_ok=True)
-            paths = FIGURES[args.name](outdir)
-            for p in paths:
-                print(p)
+            print(*FIGURES[args.name](outdir), sep="\n")
             return 0
         # run
         sc = parse_scenario(args.scenario, n_samples=args.samples, t_end=args.t_end,

@@ -373,7 +373,7 @@ def evolve(
             raise InvalidInputError(f"initial state: {err}") from None
     L, x0, sector, phase = _folded_problem(kind, p, c, rho0.reshape(-1))
     t_grid = np.linspace(0.0, t_end, n_samples)
-    out = expm_multiply(L, x0, start=0.0, stop=t_end, num=n_samples)
+    out = expm_multiply(L, x0, t_end, n_samples)
     # any non-finite entry makes the sum non-finite; summing avoids a
     # stack-sized boolean temporary
     if not np.isfinite(out.sum()):

@@ -117,7 +117,11 @@ def approx_optima_nonlinear(p: NonlinearParams):
     pi/K with the peak energy omega_b (Omega/J)^2 (1 + e^{-pi gamma/4K})^2
     (t_E infinite, E(t_E) the steady energy, in the overdamped regime);
     t_P keeps its dissipationless value sqrt(2) alpha / J and the peak power
-    acquires an exponential damping factor.
+    acquires an exponential damping factor, which holds only for gamma << J:
+    against the cumulant trajectory's peak power (t to 40/J, 4001 samples)
+    this P(t_P) is 1.033 times it at (Omega, J, gamma) = (0.05, 1, 0.5),
+    1.71 at (0.002, 0.1, 0.5), 1.17 at (0.05, 1, 2) and 6.21 at the
+    overdamped (0.002, 0.1, 2), where this t_P is 19.7 against 63.9.
     """
     q = _linear_equivalent(p)
     t_e, e_te = optimal_time_energy(q), optimal_energy(q)

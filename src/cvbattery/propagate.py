@@ -1,8 +1,8 @@
-"""The Fock route's propagator: exp(t A) B at uniformly spaced samples, for a
-sparse matrix A and a vector B, by the truncated Taylor series of Al-Mohy &
-Higham, SIAM J. Sci. Comput. 33, 488 (2011), algorithm 5.2, as scipy's
-``expm_multiply`` implements it, run here with scipy's arithmetic but
-without its per-term overhead.
+"""The Fock route's propagator: exp(t A) b at uniformly spaced samples, for
+the float64 CSR operator A and start b that ``focksim.evolve`` builds, by
+the truncated Taylor series of Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+488 (2011), algorithm 5.2, as scipy's ``expm_multiply`` implements it, run
+here with scipy's arithmetic but without its per-term overhead.
 
 A is shifted by mu = tr(A)/n, and scipy's own norm estimates fix the Taylor
 degree m* and the step count s for one sample step h.  Where one step needs
@@ -51,7 +51,7 @@ def _taylor_plan(A, t, num):
     """
     n = A.shape[0]
     mu = A.trace() / float(n)
-    A = A - mu * sp.identity(n, dtype=A.dtype, format=A.format)
+    A = A - mu * sp.identity(n, format="csr")
     norm_info = LazyOperatorNormInfo(t * A, A_1_norm=t * abs(A).sum(axis=0).max(), ell=2,
                                      scale=1.0 / (num - 1))
     rng_state = np.random.get_state()
@@ -75,9 +75,10 @@ def _taylor_plan(A, t, num):
     return A, mu, m_star, s, d
 
 
-def expm_multiply(A, B, *, start, stop, num) -> np.ndarray:
-    """exp(t A) B for a sparse matrix A and a vector B at the ``num`` times of
-    ``np.linspace(start, stop, num)``, with ``start = 0``.
+def expm_multiply(A, b, t_end, num) -> np.ndarray:
+    """exp(t A) b at the ``num`` times of ``np.linspace(0, t_end, num)``, for
+    the float64 CSR matrix A and float64 vector b that ``focksim.evolve``
+    builds (``focksim._folded_problem``); ``evolve`` refuses ``num < 2``.
 
     ``_taylor_plan`` fixes the Taylor degree m*, the sub-step count s and
     the span d of one series (module docstring).  Each series starts from a
@@ -85,8 +86,9 @@ def expm_multiply(A, B, *, start, stop, num) -> np.ndarray:
     computed up front as the previous series used: each is one call of
     scipy's own CSR kernel, ``csr_matvec``, adding into a zeroed row as
     scipy's sparse product adds into a zeroed vector, and one in-place scale
-    by h/(s j).  One ``np.abs(block).max(axis=1)`` gives every term norm.
-    The series stops, as in scipy, once two successive terms fall below
+    by h/(s j), with h = t_end / (num - 1), the step of ``np.linspace``.
+    One ``np.abs(block).max(axis=1)`` gives every term norm.  The series
+    stops, as in scipy, once two successive terms fall below
     2^-53 ||F||_inf, tested on its farthest sample, F = sum_j d^j T_j, with
     the term norms c_j = d^j ||T_j||_inf, in Python floats.  F at a
     candidate stop q sums rows 0..q: ``np.add.reduce`` along axis 0 where a
@@ -107,28 +109,18 @@ def expm_multiply(A, B, *, start, stop, num) -> np.ndarray:
     multiplied by exp(i h mu / s).  At d = 1 that is the one sample,
     advanced by s such series, each scaled by exp(h mu / s): scipy's
     per-sample branch, with scipy's arithmetic operation for operation, so
-    for a CSR matrix A the result is the same to the bit wherever scipy
-    takes that branch.  At d > 1, s = 1, and the last group takes the
-    samples left over.  The result does not depend on the caller's RNG
-    state or the BLAS thread count, and the RNG state is left as it was.
+    the result is the same to the bit wherever scipy takes that branch.  At
+    d > 1, s = 1, and the last group takes the samples left over.  The
+    result does not depend on the caller's RNG state or the BLAS thread
+    count, and the RNG state is left as it was.
     """
-    if num < 2:
-        raise ValueError("need at least 2 samples")
-    if start != 0:
-        raise ValueError("the samples must start at t = 0")
-    B = np.asarray(B)
-    if B.ndim != 1 or A.shape != (B.size, B.size):
-        raise ValueError(f"shapes of A {A.shape} and B {B.shape} do not match")
-    samples, h = np.linspace(start, stop, num, retstep=True)
-    n = B.size
-    A, mu, m_star, s, d = _taylor_plan(A, samples[-1] - samples[0], num)
+    n = b.size
+    h = t_end / (num - 1)
+    A, mu, m_star, s, d = _taylor_plan(A, t_end, num)
     coeffs = [h / float(s * (j + 1)) for j in range(m_star)]
-    X = np.empty((num, n), dtype=np.result_type(A.dtype, B.dtype, float))
-    X[0] = B
-    # the product A @ term as scipy computes it: csr_matvec adding into a
-    # zeroed vector of the result type, with A's entries in that type
-    A = sp.csr_matrix(A, dtype=X.dtype)
-    block = np.empty((1, n), dtype=X.dtype)  # row j: the term of degree j
+    X = np.empty((num, n))
+    X[0] = b
+    block = np.empty((1, n))  # row j: the term of degree j
     # guess: the terms computed before the first test, the previous
     # series' count (q stays 1 when m* = 0 and no series has terms)
     q = guess = 1
@@ -146,7 +138,7 @@ def expm_multiply(A, B, *, start, stop, num) -> np.ndarray:
                 if q == len(norms):  # the next terms: up to the guess, or one
                     top = max(q, guess)
                     if top >= len(block):  # grown to the terms used so far
-                        block = np.concatenate([block[:q], np.empty((top + 1 - q, n), X.dtype)])
+                        block = np.concatenate([block[:q], np.empty((top + 1 - q, n))])
                     terms = block[q:top + 1]
                     terms.fill(0)
                     for j in range(q, q + len(terms)):

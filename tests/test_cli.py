@@ -38,6 +38,11 @@ n_samples = 101
 """
 
 
+# a three-point Omega sweep block, for either coupling
+SWEEP = ("sweep_param = Omega\nsweep_min = 0.05\nsweep_max = 0.25\nsweep_points = 3\n"
+         "sweep_scale = log\n")
+
+
 def write_scenario(tmp_path, text, name="scenario.txt"):
     path = tmp_path / name
     path.write_text(text)
@@ -139,11 +144,34 @@ class TestParseScenario:
                            "sweep_points = 3\n")
         _assert_config_error(tmp_path, capsys, text, f"cannot sweep '{other}'")
 
+    @pytest.mark.parametrize("text,flags", [
+        (LINEAR_SCENARIO, []),
+        (NONLINEAR_SCENARIO, []),
+        (NONLINEAR_SCENARIO.replace("cumulant", "perturbation"), []),
+        (NONLINEAR_SCENARIO.replace("cumulant", "fock"), ["--route", "cumulant"]),
+        # a sweep of route all runs the coupling's closed-form route
+        (LINEAR_SCENARIO.replace("analytic", "all") + SWEEP, []),
+        (NONLINEAR_SCENARIO + SWEEP, ["--route", "all"]),
+    ], ids=["analytic", "cumulant", "perturbation", "route-override", "linear-all-sweep",
+            "nonlinear-all-sweep"])
+    def test_cutoff_refused_where_no_route_reads_it(self, tmp_path, capsys, text, flags):
+        text += "cutoff_b = 12\n"
+        line = text.count("\n")
+        _assert_config_error(tmp_path, capsys, text,
+                             f"line {line}: 'cutoff_b' is read by the fock route only", flags)
 
-def _assert_config_error(tmp_path, capsys, text, match):
+    @pytest.mark.parametrize("route,sweep", [("fock", ""), ("all", ""), ("fock", SWEEP)])
+    def test_cutoffs_accepted_where_the_fock_route_runs(self, tmp_path, route, sweep):
+        text = NONLINEAR_SCENARIO + sweep + "cutoff_a = 4\ncutoff_b = 6\n"
+        sc = cli.parse_scenario(write_scenario(tmp_path, text), route=route)
+        assert (sc.cutoff_a, sc.cutoff_b) == (4, 6)
+
+
+def _assert_config_error(tmp_path, capsys, text, match, flags=()):
     """``run`` exits 2 with one ``config error:`` line and writes no file."""
     out = tmp_path / "out.csv"
-    assert cli.main(["run", str(write_scenario(tmp_path, text)), "--out", str(out)]) == 2
+    assert cli.main(["run", str(write_scenario(tmp_path, text)), *flags,
+                     "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
@@ -252,7 +280,8 @@ def test_any_run_length_exits_cleanly(tmp_path, capsys, coupling, route, n_sampl
     out.unlink(missing_ok=True)
     code = cli.main(["run", str(write_scenario(tmp_path, text)), *flags, "--out", str(out)])
     err = capsys.readouterr().err
-    valid = n_samples >= 2 and 0 < float(t_end) < math.inf and min(cutoff_a, cutoff_b) >= 2
+    valid = (n_samples >= 2 and 0 < float(t_end) < math.inf and min(cutoff_a, cutoff_b) >= 2
+             and route == "fock")  # the other routes read no cutoff
     assert code in ((0, 3) if valid else (2,))
     assert err.count("\n") <= 1
     assert out.exists() == (code == 0)
@@ -353,6 +382,23 @@ class TestRunCommand:
         # t_end = 40 is not fully relaxed; a couple of percent is expected
         p_steady = 0.5 * (math.sqrt(1.25) - 1.0)
         assert last[5] == pytest.approx(p_steady, rel=3e-2)
+
+    @pytest.mark.parametrize("scenario,route", [(LINEAR_SCENARIO, "analytic"),
+                                                (NONLINEAR_SCENARIO, "cumulant")],
+                             ids=["linear", "nonlinear"])
+    def test_route_all_sweep_names_its_route(self, tmp_path, capsys, scenario, route):
+        # the note is the only line that the route-all sweep adds to the
+        # sweep of the route it runs; the parameter line names the route set
+        path = write_scenario(tmp_path, scenario + SWEEP)
+        lines = {}
+        for flag in ("all", route):
+            assert cli.main(["run", str(path), "--route", flag]) == 0
+            lines[flag] = capsys.readouterr().out.splitlines()
+        note = f"# note: route all: every point takes the {route} route"
+        assert lines["all"][1] == note
+        assert lines["all"][2:] == lines[route][1:]
+        assert lines["all"][0] == lines[route][0].replace(f"route={route}", "route=all")
+        assert not any(l.startswith("# note:") for l in lines[route])
 
     def test_one_fock_evaluation_per_point(self, tmp_path, capsys, monkeypatch):
         calls = []

@@ -1,7 +1,8 @@
 """Static checks on the package source: no unused import, no private
 module-level name that nothing references, no import from scipy's private
-modules beyond the one the Fock propagator needs, and every per-layer time
-and call count that the benchmark names still traced."""
+modules beyond the one the Fock propagator needs, no caller of that
+propagator but ``focksim``, and every per-layer time and call count that the
+benchmark names still traced."""
 
 import ast
 import json
@@ -103,6 +104,41 @@ def test_private_scipy_import_check_sees_both_forms(tmp_path):
         ("mod.py", "scipy.sparse._sputils", None),
         ("mod.py", "scipy.linalg._decomp_qr", "qr"),
     ]
+
+
+def _imports_the_propagator(path):
+    """Whether a module of the package imports ``cvbattery.propagate`` or a
+    name from it, in any form."""
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            found = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["cvbattery" if node.level else "", node.module]))
+            found = [module] + [f"{module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if "cvbattery.propagate" in found:
+            return True
+    return False
+
+
+def test_only_focksim_imports_the_propagator():
+    # expm_multiply takes the float64 CSR operator and float64 start that
+    # focksim.evolve builds and checks neither, so evolve stays its caller
+    assert [p.name for p in MODULES if _imports_the_propagator(p)] == ["focksim.py"]
+
+
+@pytest.mark.parametrize("text,found", [
+    ("from .propagate import expm_multiply\n", True),
+    ("from . import propagate\n", True),
+    ("import cvbattery.propagate\n", True),
+    ("from cvbattery.propagate import csr_matvec\n", True),
+    ("from .focksim import evolve\nfrom . import linear\n", False),
+])
+def test_propagator_import_check_sees_every_form(tmp_path, text, found):
+    path = tmp_path / "mod.py"
+    path.write_text(text)
+    assert _imports_the_propagator(path) == found
 
 
 def test_benchmark_layer_names_are_traced():
