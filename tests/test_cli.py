@@ -4,14 +4,18 @@ import csv
 import dataclasses
 import io
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cvbattery import cli, cumulant, focksim, linear, metrics
+from cvbattery import cli, cumulant, figures, focksim, linear, metrics
 from cvbattery.errors import ConfigError, ConvergenceError
 
 
@@ -400,6 +404,43 @@ class TestRunCommand:
         assert lines["all"][0] == lines[route][0].replace(f"route={route}", "route=all")
         assert not any(l.startswith("# note:") for l in lines[route])
 
+    @pytest.mark.parametrize("coupling,strength,route,steady", [
+        ("nonlinear", "J", "cumulant", lambda om: 0.5 * (math.sqrt(1.0 + (2.0 * om) ** 2) - 1.0)),
+        ("nonlinear", "J", "perturbation", lambda om: om ** 2),
+        ("linear", "g", "analytic", lambda om: (om / 0.5) ** 2),
+    ], ids=["cumulant", "perturbation", "analytic"])
+    def test_closed_form_sweep_writes_the_steady_state(self, tmp_path, capsys, coupling,
+                                                      strength, route, steady):
+        # t_end = 4 is far from relaxed: the last sample is 71-78% low on the
+        # cumulant route and 15% high on the analytic one
+        value = "1.0" if strength == "J" else "0.5"
+        text = (f"coupling = {coupling}\nroute = {route}\n{strength} = {value}\n"
+                "gamma = 0.5\nt_end = 4.0\nn_samples = 9\nsweep_param = Omega\n"
+                "sweep_min = 0.05\nsweep_max = 0.2\nsweep_points = 2\n")
+        assert cli.main(["run", str(write_scenario(tmp_path, text))]) == 0
+        rows = [r for r in csv.reader(io.StringIO(capsys.readouterr().out))
+                if not r[0].startswith("#")]
+        e_ss, erg_ss = rows[0].index("energy_ss"), rows[0].index("ergotropy_ss")
+        for r in rows[1:]:
+            assert float(r[e_ss]) == pytest.approx(steady(float(r[0])), rel=1e-14)
+            assert r[erg_ss] == r[e_ss]  # a pure Gaussian steady state, D = 1
+
+    @pytest.mark.parametrize("route", ["cumulant", "perturbation", "fock"])
+    def test_undamped_sweep_point_has_no_steady_state(self, tmp_path, capsys, route):
+        # at gamma = 0 a closed-form route leaves both steady cells empty; the
+        # fock route still reads its last sample
+        text = (f"coupling = nonlinear\nroute = {route}\nJ = 1.0\nOmega = 0.1\n"
+                "t_end = 4.0\nn_samples = 9\nsweep_param = gamma\nsweep_min = 0\n"
+                "sweep_max = 0.5\nsweep_points = 2\n")
+        if route == "fock":
+            text += "cutoff_a = 4\ncutoff_b = 6\n"
+        assert cli.main(["run", str(write_scenario(tmp_path, text))]) == 0
+        rows = [l.split(",") for l in capsys.readouterr().out.splitlines()
+                if l and l[0].isdigit()]
+        assert [r[0] for r in rows] == ["0", "0.5"]
+        assert all(c != "" for c in rows[0][1:5] + rows[1][1:])
+        assert (rows[0][5:] == ["", ""]) == (route != "fock")
+
     def test_one_fock_evaluation_per_point(self, tmp_path, capsys, monkeypatch):
         calls = []
         evolve = focksim.evolve
@@ -620,6 +661,31 @@ class TestFigureCommand:
     def test_unknown_figure_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(["figure", "fig9", "--out", str(tmp_path)])
+
+    def test_every_figure_name_is_a_bundle(self):
+        # the parser's choices and the module's table name the same bundles,
+        # and every bundle function of the module is in the table
+        assert list(cli._FIGURE_NAMES) == sorted(figures.FIGURES)
+        bundles = {n for n in vars(figures) if n.startswith("_figure_") and n != "_figure_csv"}
+        assert {f.__name__ for f in figures.FIGURES.values()} == bundles
+
+    def test_only_figure_and_constants_load_the_figure_module(self, tmp_path):
+        # in a fresh interpreter, so that no earlier test has imported it
+        path = write_scenario(tmp_path, LINEAR_SCENARIO.replace("n_samples = 101",
+                                                                "n_samples = 9"))
+        code = ("import sys\n"
+                "from cvbattery import cli\n"
+                "loaded = []\n"
+                "for argv in (['run', sys.argv[1], '--out', sys.argv[2]], ['constants']):\n"
+                "    assert cli.main(argv) == 0\n"
+                "    loaded.append('cvbattery.figures' in sys.modules)\n"
+                "print(*loaded)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", code, str(path),
+                                 str(tmp_path / "run.csv")],
+                                env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False True"
 
 
 class TestConstantsCommand:
