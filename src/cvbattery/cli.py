@@ -196,19 +196,26 @@ def _sweep_points(sc: Scenario):
             for v in values]
 
 
+def _route_note(sc: Scenario, route: str):
+    """The note that ``route`` does not apply to the scenario's coupling, or
+    None when it does."""
+    only = _ROUTE_COUPLING.get(route, sc.coupling)
+    if only != sc.coupling:
+        return f"{route} route applies to {only} coupling only"
+    return None
+
+
 def _route_series(sc: Scenario, route: str):
     """Evaluate one route once on the scenario grid ``sc.times()``.
 
     Returns (cols, summary, note): the column group (energy, power,
-    ergotropy, var_x, var_p, det), the (t_E, E_tE, t_P, P_tP) optima, and a
-    note that is not None when the route does not apply (cols then holds
-    NaN columns and summary is None).
+    ergotropy, var_x, var_p, det), the (t_E, E_tE, t_P, P_tP) optima, and
+    ``_route_note`` (cols then holds NaN columns and summary is None).
     """
     t = sc.times()
     p = sc.params()
-    only = _ROUTE_COUPLING.get(route, sc.coupling)
-    if only != sc.coupling:
-        note = f"{route} route applies to {only} coupling only"
+    note = _route_note(sc, route)
+    if note is not None:
         return dict.fromkeys(_FIELDS, np.full_like(t, np.nan)), None, note
     if route == "analytic":
         e = linear.energy_linear(t, p)
@@ -333,6 +340,9 @@ def _write_sweep_csv(sc: Scenario, out, comments):
     if route == "all":  # one closed-form route per sweep, named in a note
         route = "analytic" if sc.coupling == "linear" else "cumulant"
         comments = comments + [f"note: route all: every point takes the {route} route"]
+    note = _route_note(sc, route)
+    if note is not None:  # every row is empty, as in the time series
+        comments = comments + [f"note: route {route}: {note}"]
     rows = [(value, *_sweep_point(point, route)) for value, point in _sweep_points(sc)]
     comments = comments + [f"sweep {sc.sweep_param} {sc.sweep_scale} over "
                            f"[{_cell(sc.sweep_min)}, {_cell(sc.sweep_max)}] with "

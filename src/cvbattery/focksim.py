@@ -22,9 +22,10 @@ real symmetric and real antisymmetric parts to themselves, so only the upper
 triangle of each is propagated: about half the entries, under an operator
 with about half the nonzeros.
 
-The six Fock moments are read from that half stack, each entry weighed by the
-mode operators at its index pair (``FockTrajectory.moments``).  ``evolve``
-checks no sample: ``check_density_matrix(traj.rhos)`` checks them all.
+Of that half, ``evolve`` keeps only the entries that the observables read
+(246 of 1176 at (8,12)); the six Fock moments weigh each by the mode
+operators at its index pair (``_moment_weights``).  ``evolve`` checks no
+sample: ``check_density_matrix(traj.rhos)`` checks them all.
 """
 
 from dataclasses import dataclass, replace
@@ -101,21 +102,29 @@ class FockTrajectory:
     rest, and only the entries of that half that the initial state reaches,
     all between kets that it reaches under H and a (``_folded_problem``).
     In the frame R = V'rho V (module docstring), R is Hermitian, R = S + iA
-    with S real symmetric and A real antisymmetric, and ``sector_states``, a
-    real (n_samples, sector.size) stack, holds S on k <= l and A on k < l.
-    Column j holds entry ``sector[j]`` = k * dim + l of S or of A: rho[k, l]
-    gets phase[j] * sector_states[:, j] from it and rho[l, k] the conjugate,
-    with ``phase`` a power of i per column.  Every other entry is zero at all
-    times.  Every observable is read from the half stack in one batched pass
-    without leaving the frame; ``rhos`` unfolds it into the full-space
-    (n_samples, dim, dim) array of rho, built anew on each access.
+    with S real symmetric and A real antisymmetric, and the propagated
+    vector holds S on k <= l and A on k < l.  Of those columns the
+    trajectory keeps only the ones that its observables read (``evolve``):
+    ``sector_states``, a real (n_samples, sector.size) stack.  Column j
+    holds entry ``sector[j]`` = k * dim + l of S or of A: rho[k, l] gets
+    phase[j] * sector_states[:, j] from it and rho[l, k] the conjugate, with
+    ``phase`` a power of i per column.  Every observable is read from the
+    kept stack in one batched pass without leaving the frame, the moments
+    with ``weights``, ``_moment_weights`` on these columns.  ``problem`` is
+    ``_folded_problem``'s (M, x0, sector, phase), all O(nnz): ``rhos``
+    propagates it again, keeping every column, and unfolds that into the
+    full-space (n_samples, dim, dim) array of rho, built anew on each
+    access.
     """
 
-    def __init__(self, times, sector_states, sector, phase, params, config, cutoff_ok):
+    def __init__(self, times, sector_states, sector, phase, weights, problem, params, config,
+                 cutoff_ok):
         self.times = np.asarray(times, dtype=float)
         self.sector_states = sector_states
         self.sector = sector
         self.phase = phase
+        self._weights = weights
+        self._problem = problem
         self.params = params
         self.config = config
         self.cutoff_ok = bool(cutoff_ok)
@@ -127,34 +136,21 @@ class FockTrajectory:
 
     @property
     def rhos(self) -> np.ndarray:
+        M, x0, sector, phase = self._problem
         dim = self.config.cutoff_a * self.config.cutoff_b
-        return _unfold(self.sector_states, *np.divmod(self.sector, dim), self.phase, dim)
+        stack = expm_multiply(M, x0, self.times[-1], self.times.size)
+        return _unfold(stack, *np.divmod(sector, dim), phase, dim)
 
     def moments(self) -> np.ndarray:
         """(n_samples, 6) complex <a>, <a'a>, <aa>, <b>, <b'b>, <bb>, from one
-        real product of the stack with folded weights.  Column j stands for
-        rho[k, l] and rho[l, k], so O weighs it with phase[j] O[l, k] +
-        conj(phase[j]) O[k, l], the second term only off the diagonal: as O is
-        real in the Fock basis and phase[j] a power of i, that is exactly
-        Re(phase[j]) (O[l, k] + O[k, l]) + i Im(phase[j]) (O[l, k] - O[k, l]),
-        read from the sparse operators at the sector's index pairs.  The real
-        and imaginary parts are the 12 columns of one real product, so the
-        stack is never copied to complex."""
+        real product of the stack with the folded weights of
+        ``_moment_weights``: their real and imaginary parts are the 12
+        columns of that product, so the stack is never copied to complex."""
         if self._moments is None:
-            k, l = np.divmod(self.sector, self.config.cutoff_a * self.config.cutoff_b)
-            a, b = mode_operators(self.config)
-            parts = []
-            for o, op in enumerate((a, a.conj().T @ a, a @ a, b, b.conj().T @ b, b @ b)):
-                lk = np.asarray(op[l, k]).ravel().real
-                kl = np.where(k != l, np.asarray(op[k, l]).ravel().real, 0.0)
-                w = np.array([self.phase.real * (lk + kl), self.phase.imag * (lk - kl)])
-                part, j = np.nonzero(w)  # real or imaginary part, stack column
-                parts.append((w[part, j], j, o + 6 * part))
-            data, row, col = map(np.concatenate, zip(*parts))
-            W = sp.csc_matrix((data, (row, col)), shape=(self.sector.size, 12))
+            W = self._weights
             # gather the few stack columns that any moment weights (165 of
-            # 1176 at (8,12)) first: scipy copies a product's dense operand
-            # transposed, and a copy of the whole stack raised the peak RSS
+            # 246 kept at (8,12)) first: scipy copies a product's dense
+            # operand transposed
             cols = np.unique(W.indices)
             P = self.sector_states[:, cols] @ W[cols]
             self._moments = P[:, :6] + 1j * P[:, 6:]
@@ -296,6 +292,45 @@ def _folded_problem(kind: str, p, c: FockConfig, v0: np.ndarray):
     return M[keep][:, keep], x0[keep], sector[keep], phase[keep]
 
 
+def _moment_weights(sector, phase, c: FockConfig):
+    """(sector.size, 12) real CSC weights W: the stack times W gives the real
+    parts of <a>, <a'a>, <aa>, <b>, <b'b>, <bb> in columns 0-5 and their
+    imaginary parts in 6-11.  Column j stands for rho[k, l] and rho[l, k],
+    so O weighs it with phase[j] O[l, k] + conj(phase[j]) O[k, l], the
+    second term only off the diagonal: as O is real in the Fock basis and
+    phase[j] a power of i, that is exactly Re(phase[j]) (O[l, k] + O[k, l])
+    + i Im(phase[j]) (O[l, k] - O[k, l]), read from the sparse operators at
+    the sector's index pairs.  Only nonzero weights are stored."""
+    k, l = np.divmod(sector, c.cutoff_a * c.cutoff_b)
+    a, b = mode_operators(c)
+    parts = []
+    for o, op in enumerate((a, a.conj().T @ a, a @ a, b, b.conj().T @ b, b @ b)):
+        lk = np.asarray(op[l, k]).ravel().real
+        kl = np.where(k != l, np.asarray(op[k, l]).ravel().real, 0.0)
+        w = np.array([phase.real * (lk + kl), phase.imag * (lk - kl)])
+        part, j = np.nonzero(w)  # real or imaginary part, stack column
+        parts.append((w[part, j], j, o + 6 * part))
+    data, row, col = map(np.concatenate, zip(*parts))
+    return sp.csc_matrix((data, (row, col)), shape=(sector.size, 12))
+
+
+def _cutoff_ok(stack, sector, kind: str, c: FockConfig) -> bool:
+    """False when, at any sample of ``stack``, the highest level of either
+    mode among the populations in ``sector`` holds more than
+    ``TOP_LEVEL_TOL`` and lies within one step of that mode's cutoff (two
+    levels for the nonlinear battery, one otherwise); see ``evolve``."""
+    kets, bras = np.divmod(sector, c.cutoff_a * c.cutoff_b)
+    diag = np.flatnonzero(kets == bras)  # populations: S entries with phase 1
+    pop = stack[:, diag]
+    return not any(
+        level.max() + step >= cutoff
+        and np.any(pop[:, level == level.max()].sum(axis=1) > TOP_LEVEL_TOL)
+        for level, cutoff, step in zip(np.divmod(kets[diag], c.cutoff_b),  # n_a, n_b
+                                       (c.cutoff_a, c.cutoff_b),
+                                       (1, 2 if kind == "nonlinear" else 1))
+    )
+
+
 def _unfold(stack, rows, cols, coef, n: int) -> np.ndarray:
     """(n_samples, n, n): the Hermitian matrices sum_j stack[:, j]
     (coef[j] |rows[j]><cols[j]| + conj(coef[j]) |cols[j]><rows[j]|) that a
@@ -336,25 +371,33 @@ def evolve(
     docstring), and only through the half of R that fixes the rest: the
     real symmetric part on k <= l and the real antisymmetric part on k < l,
     each under its own folded real operator, and of those only the entries
-    that the initial state reaches
-    (``_folded_problem``).  ``expm_multiply`` so gets a float64 matrix and a
-    float64 start vector for every start; a real start, such as the vacuum
-    or a Fock-diagonal state, has no antisymmetric part, and that half drops
-    out.  Raises ``InvalidInputError`` if V'HV has a real part, so there is
-    no silent complex fallback.  Starts from the two-mode vacuum unless
-    ``initial_state`` is given: a dim x dim matrix that must pass
-    ``check_density_matrix`` (``InvalidInputError`` otherwise, so a
-    non-finite entry is refused before it is propagated).  ``t_end`` must be
-    finite and positive.
+    that the initial state reaches (``_folded_problem``).
+    ``expm_multiply`` so gets a float64 matrix and a float64 start vector
+    for every start; a real start, such as the vacuum or a Fock-diagonal
+    state, has no antisymmetric part, and that half drops out.  Raises
+    ``InvalidInputError`` if V'HV has a real part, so there is no silent
+    complex fallback.
 
-    Sets ``cutoff_ok = False`` when, at any sample, the highest level of
-    either mode that the propagated entries contain is populated beyond
-    ``TOP_LEVEL_TOL`` and lies within one step of that mode's cutoff: one
-    level for the charger and the linear battery, two for the nonlinear
-    battery (b'b' moves n_b by two).  Below that, the evolution never
-    reached the truncation.
-    No sample is checked: ``check_density_matrix(traj.rhos)`` checks them
-    all.
+    Of the propagated entries, ``expm_multiply`` returns only the columns
+    that the observables read, found once from the moments' weights
+    (``_moment_weights``), which the trajectory keeps: the entries with
+    equal n_a on both sides (the populations, the reduced battery state,
+    <b>, <b'b> and <bb>) and those that <a> and <aa> weigh.  It checks
+    every entry that it computes, returned or not, and raises
+    ``ConvergenceError`` on a non-finite one.  No sample is checked for
+    physicality: ``check_density_matrix(traj.rhos)`` checks them all.
+
+    Starts from the two-mode vacuum unless ``initial_state`` is given: a
+    dim x dim matrix that must pass ``check_density_matrix``
+    (``InvalidInputError`` otherwise, so a non-finite entry is refused
+    before it is propagated).  ``t_end`` must be finite and positive.
+
+    Sets ``cutoff_ok = False`` (``_cutoff_ok``) when, at any sample, the
+    highest level of either mode that the propagated entries contain is
+    populated beyond ``TOP_LEVEL_TOL`` and lies within one step of that
+    mode's cutoff: one level for the charger and the linear battery, two
+    for the nonlinear battery (b'b' moves n_b by two).  Below that, the
+    evolution never reached the truncation.
     """
     if not (np.isfinite(t_end) and t_end > 0):
         raise InvalidInputError("t_end must be finite and positive")
@@ -371,24 +414,19 @@ def evolve(
             check_density_matrix(rho0)
         except UnphysicalStateError as err:
             raise InvalidInputError(f"initial state: {err}") from None
-    L, x0, sector, phase = _folded_problem(kind, p, c, rho0.reshape(-1))
-    t_grid = np.linspace(0.0, t_end, n_samples)
-    out = expm_multiply(L, x0, t_end, n_samples)
-    # any non-finite entry makes the sum non-finite; summing avoids a
-    # stack-sized boolean temporary
-    if not np.isfinite(out.sum()):
-        raise ConvergenceError("Lindblad propagation produced non-finite values")
+    problem = _folded_problem(kind, p, c, rho0.reshape(-1))
+    L, x0, sector, phase = problem
+    W = _moment_weights(sector, phase, c)
     kets, bras = np.divmod(sector, dim)
-    diag = np.flatnonzero(kets == bras)  # populations: S entries with phase 1
-    pop = out[:, diag]
-    cutoff_ok = not any(
-        level.max() + step >= cutoff
-        and np.any(pop[:, level == level.max()].sum(axis=1) > TOP_LEVEL_TOL)
-        for level, cutoff, step in zip(np.divmod(kets[diag], c.cutoff_b),  # n_a, n_b
-                                       (c.cutoff_a, c.cutoff_b),
-                                       (1, 2 if kind == "nonlinear" else 1))
-    )
-    return FockTrajectory(t_grid, out, sector, phase, p, c, cutoff_ok)
+    # equal n_a on both sides: the populations, the reduced battery state
+    # and the entries that <b>, <b'b> and <bb> weigh; then those that <a>
+    # and <aa> weigh
+    read = kets // c.cutoff_b == bras // c.cutoff_b
+    read[W.indices] = True
+    kept = np.flatnonzero(read)
+    out = expm_multiply(L, x0, t_end, n_samples, kept)
+    return FockTrajectory(np.linspace(0.0, t_end, n_samples), out, sector[kept], phase[kept],
+                          W[kept], problem, p, c, _cutoff_ok(out, sector[kept], kind, c))
 
 
 def extract_moments(rho: np.ndarray, c: FockConfig) -> MomentState:

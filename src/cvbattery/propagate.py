@@ -25,6 +25,8 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg._expm_multiply import LazyOperatorNormInfo, _fragment_3_1
 
+from .errors import ConvergenceError
+
 _UNIT_ROUNDOFF = 2.0**-53  # the Taylor series stops when its terms fall below it
 _THETA_55 = 9.9  # scipy's theta_m at its highest degree, m = 55
 # the most samples one series serves: keeps the weights i^j (j <= 55) and
@@ -75,14 +77,16 @@ def _taylor_plan(A, t, num):
     return A, mu, m_star, s, d
 
 
-def expm_multiply(A, b, t_end, num) -> np.ndarray:
-    """exp(t A) b at the ``num`` times of ``np.linspace(0, t_end, num)``, for
-    the float64 CSR matrix A and float64 vector b that ``focksim.evolve``
-    builds (``focksim._folded_problem``); ``evolve`` refuses ``num < 2``.
+def expm_multiply(A, b, t_end, num, cols=slice(None)) -> np.ndarray:
+    """Columns ``cols`` (every column by default) of exp(t A) b at the
+    ``num`` times of ``np.linspace(0, t_end, num)``, an array of ``num``
+    rows, for the float64 CSR matrix A and float64 vector b that
+    ``focksim.evolve`` builds (``focksim._folded_problem``); ``evolve``
+    refuses ``num < 2``.
 
     ``_taylor_plan`` fixes the Taylor degree m*, the sub-step count s and
-    the span d of one series (module docstring).  Each series starts from a
-    sample, X[k], and its terms T_j are the rows of one block, as many
+    the span d of one series (module docstring).  Each series starts from
+    sample k, and its terms T_j are the rows of one block, as many
     computed up front as the previous series used: each is one call of
     scipy's own CSR kernel, ``csr_matvec``, adding into a zeroed row as
     scipy's sparse product adds into a zeroed vector, and one in-place scale
@@ -105,7 +109,7 @@ def expm_multiply(A, b, t_end, num) -> np.ndarray:
 
     After each series one phase step scales the samples that it serves:
     sample k + i, sum_j i^j T_j with i^j correctly rounded (the farthest is
-    F, the nearer rows are summed the same way into their rows of X), is
+    F, the nearer rows are summed the same way into their own rows), is
     multiplied by exp(i h mu / s).  At d = 1 that is the one sample,
     advanced by s such series, each scaled by exp(h mu / s): scipy's
     per-sample branch, with scipy's arithmetic operation for operation, so
@@ -113,13 +117,23 @@ def expm_multiply(A, b, t_end, num) -> np.ndarray:
     d > 1, s = 1, and the last group takes the samples left over.  The
     result does not depend on the caller's RNG state or the BLAS thread
     count, and the RNG state is left as it was.
+
+    Only the rows of the series being computed are held, (d + 1) x n beside
+    the block: the sample that it starts from and the d samples that it
+    serves.  Once a series is done, every entry of its samples is checked
+    to be finite, the columns not returned too (``ConvergenceError``
+    otherwise), their columns ``cols`` are copied to the output and the
+    farthest sample starts the next series.  Which columns are returned
+    changes no arithmetic: they are the same bits for every ``cols``.
     """
     n = b.size
     h = t_end / (num - 1)
     A, mu, m_star, s, d = _taylor_plan(A, t_end, num)
     coeffs = [h / float(s * (j + 1)) for j in range(m_star)]
-    X = np.empty((num, n))
+    X = np.empty((d + 1, n))  # row 0: the series' start; rows 1..d: its samples
     X[0] = b
+    out = np.empty((num, X[0, cols].size))
+    out[0] = b[cols]
     block = np.empty((1, n))  # row j: the term of degree j
     # guess: the terms computed before the first test, the previous
     # series' count (q stays 1 when m* = 0 and no series has terms)
@@ -127,9 +141,9 @@ def expm_multiply(A, b, t_end, num) -> np.ndarray:
     W = np.array([[float(i**j) for j in range(m_star + 1)] for i in range(1, d + 1)])  # i^j
     etas = np.exp(np.arange(1.0, d + 1.0) * (h * mu / float(s)))[:, None]  # exp(i h mu / s)
     for k in range(0, num - 1, d):
-        G = X[k + 1:k + 1 + d]  # the samples that this series serves
+        G = X[1:min(d, num - 1 - k) + 1]  # the samples that this series serves
         F = G[-1]
-        F[:] = X[k]
+        F[:] = X[0]
         for _ in range(s):
             block[0] = F
             norms = [float(np.abs(F).max())]  # c_j = i^j ||T_j||_inf, i = len(G)
@@ -169,4 +183,10 @@ def expm_multiply(A, b, t_end, num) -> np.ndarray:
             for i in range(len(G) - 1):
                 np.einsum("j,jk->k", W[i, :q + 1], block[:q + 1], out=G[i])
             G *= etas[:len(G)]
-    return X
+        # any non-finite entry makes the sum non-finite, without a
+        # boolean temporary
+        if not np.isfinite(G.sum()):
+            raise ConvergenceError("Lindblad propagation produced non-finite values")
+        out[k + 1:k + 1 + len(G)] = G[:, cols]
+        X[0] = F
+    return out

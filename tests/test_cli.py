@@ -404,6 +404,27 @@ class TestRunCommand:
         assert lines["all"][0] == lines[route][0].replace(f"route={route}", "route=all")
         assert not any(l.startswith("# note:") for l in lines[route])
 
+    @pytest.mark.parametrize("scenario,route,only", [
+        (LINEAR_SCENARIO, "perturbation", "nonlinear"),
+        (LINEAR_SCENARIO, "cumulant", "nonlinear"),
+        (NONLINEAR_SCENARIO, "analytic", "linear"),
+    ], ids=["linear-perturbation", "linear-cumulant", "nonlinear-analytic"])
+    def test_sweep_of_a_route_the_coupling_never_takes(self, tmp_path, capsys, scenario,
+                                                        route, only):
+        # the note that the time series writes, and one empty row per point
+        path = write_scenario(tmp_path, scenario + SWEEP)
+        assert cli.main(["run", str(path), "--route", route]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == f"# note: route {route}: {route} route applies to {only} coupling only"
+        assert lines[2].startswith("# sweep Omega log")
+        assert lines[3] == "Omega,t_E,E_tE,t_P,P_tP,energy_ss,ergotropy_ss"
+        rows = [row.split(",") for row in lines[4:]]
+        assert [float(row[0]) for row in rows] == pytest.approx([0.05, 0.05 * 5 ** 0.5, 0.25])
+        assert all(row[1:] == [""] * 6 for row in rows)
+        series = write_scenario(tmp_path, scenario, name="series.txt")
+        assert cli.main(["run", str(series), "--route", route, "--samples", "9"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == lines[1]
+
     @pytest.mark.parametrize("coupling,strength,route,steady", [
         ("nonlinear", "J", "cumulant", lambda om: 0.5 * (math.sqrt(1.0 + (2.0 * om) ** 2) - 1.0)),
         ("nonlinear", "J", "perturbation", lambda om: om ** 2),

@@ -16,10 +16,11 @@ from scipy.sparse.linalg import expm_multiply
 
 from cvbattery import focksim, propagate
 from cvbattery.cumulant import NonlinearParams, steady_energy_nonlinear
-from cvbattery.errors import InvalidInputError, UnphysicalStateError
+from cvbattery.errors import ConvergenceError, InvalidInputError, UnphysicalStateError
 from cvbattery.focksim import (
     TOP_LEVEL_TOL,
     FockConfig,
+    FockTrajectory,
     build_hamiltonian,
     check_density_matrix,
     conserved_charge_drift,
@@ -32,8 +33,10 @@ from cvbattery.focksim import (
     mode_operators,
     reduced_battery_state,
     vacuum_state,
+    _cutoff_ok,
     _folded_problem,
     _frame_phase,
+    _moment_weights,
     _sector,
     _unfold,
 )
@@ -258,21 +261,50 @@ class TestEvolve:
         dim = 24
         traj = evolve("nonlinear", p, cfg, 2.0, n_samples=5)
         check_density_matrix(traj.rhos)
-        sector = traj.sector
+        _, _, sector, _ = _folded_problem("nonlinear", p, cfg, vacuum_state(cfg).reshape(-1))
         # populations of |0,0> and |1,0>
         ground, excited = np.searchsorted(sector, [0, cfg.cutoff_b * (dim + 1)])
         assert sector[excited] == cfg.cutoff_b * (dim + 1)
 
-        def tampered(*args):
-            out = propagate.expm_multiply(*args)
+        def tampered(A, b, t_end, num, cols=slice(None)):
+            # the propagated vector, tampered whichever columns evolve or
+            # rhos asks for
+            out = propagate.expm_multiply(A, b, t_end, num)
             out[-1, ground] += 0.5  # the trace stays 1, <1,0|rho|1,0> < 0
             out[-1, excited] -= 0.5
-            return out
+            return out[:, cols]
 
         monkeypatch.setattr(focksim, "expm_multiply", tampered)
         traj = evolve("nonlinear", p, cfg, 2.0, n_samples=5)  # evolve checks no sample
+        # the kept columns hold it too
+        assert traj.sector_states[-1, np.searchsorted(traj.sector, sector[excited])] < 0.0
         with pytest.raises(UnphysicalStateError, match="negative eigenvalue"):
             check_density_matrix(traj.rhos)
+
+    def test_non_finite_unread_entry_refused(self, monkeypatch):
+        # a NaN in an entry that no observable reads, cut off from every
+        # other entry, so that it never reaches a returned column: the
+        # propagator's check covers every entry that it computes
+        p = NonlinearParams(Omega=0.25, J=1.0, gamma=0.5)
+        folded = focksim._folded_problem
+        unread = []
+
+        def poisoned(*args):
+            M, x0, sector, phase = folded(*args)
+            k, l = np.divmod(sector, CFG.cutoff_a * CFG.cutoff_b)
+            j = np.flatnonzero(np.abs(k // CFG.cutoff_b - l // CFG.cutoff_b) > 2)[0]
+            M = M.tocoo()
+            cut = (M.col != j) | (M.row == j)
+            M = sp.csr_matrix((M.data[cut], (M.row[cut], M.col[cut])), shape=M.shape)
+            x0 = x0.copy()
+            x0[j] = np.nan
+            unread.append(j)
+            return M, x0, sector, phase
+
+        monkeypatch.setattr(focksim, "_folded_problem", poisoned)
+        with pytest.raises(ConvergenceError, match="non-finite values"):
+            evolve("nonlinear", p, CFG, 2.0, n_samples=5)
+        assert len(unread) == 1
 
     def test_initial_state_honoured(self):
         dim = CFG.cutoff_a * CFG.cutoff_b
@@ -394,15 +426,16 @@ def test_batched_observables_match_per_sample(kind, p, rho0):
     nb = (b.conj().T @ b).tocsr()
     fields = ("a_mean", "a_num", "a_sq", "b_mean", "b_num", "b_sq")
     batched = [MomentState.from_array(m) for m in traj.moments()]
-    assert len(batched) == len(traj.rhos) == 13
-    for rho, m in zip(traj.rhos, batched):
+    rhos = traj.rhos  # propagated again on each access
+    assert len(batched) == len(rhos) == 13
+    for rho, m in zip(rhos, batched):
         ref = extract_moments(rho, CFG)
         for f in fields:
             assert abs(getattr(m, f) - getattr(ref, f)) < 1e-12, f
-    pop = np.array([np.real(expectation(rho, nb)) for rho in traj.rhos])
+    pop = np.array([np.real(expectation(rho, nb)) for rho in rhos])
     assert np.max(np.abs(traj.battery_population() - pop)) < 1e-12
     reduced = traj.reduced_battery_states()
-    ref_reduced = np.array([reduced_battery_state(r, CFG) for r in traj.rhos])
+    ref_reduced = np.array([reduced_battery_state(r, CFG) for r in rhos])
     assert reduced.shape == (13, 6, 6)
     assert np.max(np.abs(reduced - ref_reduced)) < 1e-12
     erg = exact_ergotropy(reduced, p.omega_b)
@@ -498,7 +531,8 @@ def test_sector_propagation_matches_full_space(kind, Omega, coupling, gamma, sta
     # nonlinear coupling keeps a parity start in its block; a real start
     # propagates the k <= l half of S, a complex one all of S and A
     n = dim if kind == "linear" or start == "full" else 3 * 2
-    assert traj.sector.size == (n * (n + 1) // 2 if start == "vacuum" else n * n)
+    _, _, sector, _ = _folded_problem(kind, p, c, rho0.reshape(-1))
+    assert sector.size == (n * (n + 1) // 2 if start == "vacuum" else n * n)
     assert np.max(np.abs(traj.rhos.reshape(len(ref), -1) - ref)) < 1e-10
     ref_rhos = ref.reshape(-1, dim, dim)
     fields = ("a_mean", "a_num", "a_sq", "b_mean", "b_num", "b_sq")
@@ -682,8 +716,75 @@ def test_complex_start_stays_complex(propagator_dtypes):
     traj = evolve("nonlinear", NonlinearParams(Omega=0.25, J=1.0, gamma=0.5), CFG,
                   1.0, n_samples=3, initial_state=rho0)
     assert propagator_dtypes == [(np.float64, np.float64)]
-    assert traj.sector_states.shape == (3, 36 * 37 // 2 + 36 * 35 // 2)  # |S| + |A|
+    _, x0, _, _ = _folded_problem("nonlinear", traj.params, CFG, rho0.reshape(-1))
+    assert x0.size == 36 * 37 // 2 + 36 * 35 // 2  # |S| + |A|
+    assert traj.sector_states.dtype == np.float64
+    # rhos propagates again, keeping every column of both halves
     assert np.array_equal(traj.rhos[0], rho0)
+    assert propagator_dtypes == [(np.float64, np.float64)] * 2
+
+
+def _read_columns(sector, c):
+    """Positions of the folded entries (k, l) that an observable reads: equal
+    n_a on both sides (the populations, the reduced battery state and the
+    b moments), or equal n_b and n_a one or two apart (<a> and <aa>)."""
+    (na_k, nb_k), (na_l, nb_l) = (np.divmod(i, c.cutoff_b)
+                                  for i in np.divmod(sector, c.cutoff_a * c.cutoff_b))
+    return np.flatnonzero((na_k == na_l) | ((nb_k == nb_l) & (abs(na_k - na_l) <= 2)))
+
+
+def test_trajectory_keeps_the_read_columns_at_the_benchmark_point():
+    # the traj-nonlinear point: 246 of the 1176 propagated columns
+    p = NonlinearParams(Omega=0.25, J=1.0, gamma=0.5)
+    cfg = FockConfig(cutoff_a=8, cutoff_b=12)
+    traj = evolve("nonlinear", p, cfg, 1.0, n_samples=3)
+    _, _, sector, _ = _folded_problem("nonlinear", p, cfg, vacuum_state(cfg).reshape(-1))
+    assert sector.size == 1176
+    assert traj.sector_states.shape == (3, 246)
+    assert np.array_equal(traj.sector, sector[_read_columns(sector, cfg)])
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from(["linear", "nonlinear"]),
+    st.floats(0.0, 2.0, allow_subnormal=False),  # Omega
+    st.floats(0.05, 2.0),  # g or J
+    st.floats(0.0, 2.0, allow_subnormal=False),  # gamma
+    st.integers(2, 5),  # cutoff_a
+    st.integers(2, 5),  # cutoff_b
+    st.sampled_from(["vacuum", "real", "complex"]),
+    st.integers(2, 40),  # num
+    st.floats(0.1, 20.0),  # t_end
+    st.integers(0, 2**32 - 1),
+)
+def test_kept_columns_are_the_full_propagation(kind, Omega, coupling, gamma, ca, cb, start,
+                                               num, t_end, seed):
+    """The stored stack is the full propagation at the read columns, bit for
+    bit, and every observable is what the full stack gives."""
+    c = FockConfig(cutoff_a=ca, cutoff_b=cb)
+    if kind == "linear":
+        p = LinearParams(Omega=Omega, g=coupling, gamma=gamma)
+    else:
+        p = NonlinearParams(Omega=Omega, J=coupling, gamma=gamma)
+    dim = ca * cb
+    rho0 = {
+        "vacuum": lambda: vacuum_state(c),
+        "real": lambda: np.diag(np.random.default_rng(seed).dirichlet(np.ones(dim))),
+        "complex": lambda: _random_density_matrix(dim, seed),
+    }[start]()
+    traj = evolve(kind, p, c, t_end, n_samples=num, initial_state=rho0)
+    problem = M, x0, sector, phase = _folded_problem(kind, p, c, rho0.reshape(-1))
+    full = focksim.expm_multiply(M, x0, t_end, num)
+    read = _read_columns(sector, c)
+    assert np.array_equal(traj.sector_states, full[:, read])
+    assert np.array_equal(traj.sector, sector[read])
+    assert np.array_equal(traj.phase, phase[read])
+    whole = FockTrajectory(traj.times, full, sector, phase, _moment_weights(sector, phase, c),
+                           problem, p, c, _cutoff_ok(full, sector, kind, c))
+    assert np.array_equal(traj.moments(), whole.moments())
+    assert np.array_equal(traj.battery_population(), whole.battery_population())
+    assert np.array_equal(traj.reduced_battery_states(), whole.reduced_battery_states())
+    assert traj.cutoff_ok == whole.cutoff_ok
 
 
 def test_liouvillian_not_real_in_the_frame_is_refused(monkeypatch):
@@ -904,7 +1005,9 @@ class TestPropagator:
         assert (d > 1) == (oracle is _scipy_per_sample_branch)
         traj = evolve("nonlinear", p, cfg, t_end, n_samples=num,
                       initial_state=_fock_state(cfg, *rho0))
-        assert np.array_equal(traj.sector_states, out)
+        _, _, sector, _ = _folded_problem("nonlinear", p, cfg,
+                                          _fock_state(cfg, *rho0).reshape(-1))
+        assert np.array_equal(traj.sector_states, out[:, _read_columns(sector, cfg)])
 
     # No subnormal rates: scipy's expm_multiply divides by a step count of 0
     # when ||t A||_1 is that small (test_underflowing_norm_gives_constant_rows)
