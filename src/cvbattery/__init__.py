@@ -2,8 +2,8 @@
 quantum batteries.
 
 Four computational routes are provided and cross-validated: closed-form
-results for linear charger-battery coupling, a five-equation cumulant ODE
-system for nonlinear coupling, weak-driving perturbation series, and exact
+results for linear charger-battery coupling, an eight-component cumulant
+ODE system for nonlinear coupling, weak-driving perturbation series, and exact
 truncated-Fock-space Lindblad integration.
 """
 

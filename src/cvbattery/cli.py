@@ -10,8 +10,9 @@ This module holds the run path; ``figure`` and ``constants`` import
 
 All computations are deterministic: the only random draws (the norm
 estimator inside the Fock propagator) use a fixed seed and leave numpy's
-global RNG state untouched.  Exit codes: 0 success, 2 config error,
-3 non-convergence; a run that fails writes no CSV, to stdout or ``--out``.
+global RNG state untouched.  Exit codes: 0 success, 2 config error or an
+output that cannot be written, 3 non-convergence; a run that fails writes no
+CSV, to stdout or ``--out``.
 """
 
 import argparse
@@ -399,6 +400,10 @@ def main(argv=None) -> int:
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # from writing: an unreadable scenario is a ConfigError
+        target = exc.filename or getattr(args, "out", None) or "standard output"
+        print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except CvBatteryError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,21 +1,28 @@
 """Second-order cumulant description of the nonlinearly coupled battery.
 
-Five coupled moment equations close the hierarchy: <a>, <a'a>, <b'b>, <aa>
-and <bb>.  The battery first moments vanish identically, and the covariance
-determinant of the battery mode is a constant of motion (equal to one for a
-vacuum start), which the integrator monitors.
+Eight real components close the hierarchy: the real and imaginary parts of
+<a>, <aa> and <bb>, and the populations <a'a> and <b'b>.  The battery first
+moments vanish identically, and the covariance determinant of the battery
+mode is a constant of motion (equal to one for a vacuum start), which the
+integrator monitors.
 
-The equations are integrated with LSODA (ODEPACK, via ``scipy.integrate.odeint``),
-which steps and interpolates onto the output grid in compiled code and
-enters Python only for the right-hand side.
+The equations are integrated with LSODA (ODEPACK), which steps and
+interpolates onto the output grid in compiled code and enters Python only
+for the right-hand side.  It is called through scipy's compiled extension
+``_odepack``, loaded on its own: importing it through ``scipy.integrate``
+would run that package's ``__init__``, which loads scipy.optimize,
+scipy.special and more that no route uses.
 """
 
+import importlib.machinery
+import importlib.util
 import math
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.integrate import ODEintWarning, odeint
+import scipy
 
 from .errors import ConvergenceError, InvalidInputError
 from .gaussian import MomentState, QuadratureStats, covariance_determinant
@@ -28,6 +35,23 @@ RETRY_TIGHTEN = 10.0
 # LSODA's step cap per output interval (default 500) would fail a sparse
 # grid; the largest value it accepts removes the cap
 MAX_STEPS = np.iinfo(np.int32).max
+
+
+def _load_odepack():
+    """scipy's LSODA extension module, executed from its file and not
+    registered in ``sys.modules``."""
+    name = "scipy.integrate._odepack"
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [str(Path(scipy.__file__).parent / "integrate")])
+    if spec is None:
+        raise ImportError(f"{name} not found in scipy {scipy.__version__}: cvbattery "
+                          "needs scipy>=1.17,<1.18")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_odepack = _load_odepack()
 
 
 @dataclass(frozen=True)
@@ -130,14 +154,13 @@ def integrate_cumulant(p: NonlinearParams, t_end: float,
     t_grid = np.linspace(0.0, t_end, n_samples)
     for attempt, (rt, at) in enumerate(
             [(RTOL, ATOL), (RTOL / RETRY_TIGHTEN, ATOL / RETRY_TIGHTEN)]):
-        with warnings.catch_warnings():
-            # the failure is reported below, as an error
-            warnings.simplefilter("ignore", ODEintWarning)
-            y, info = odeint(cumulant_rhs, np.zeros(8), t_grid, args=(p,),
-                             tfirst=True, full_output=True, rtol=rt, atol=at,
-                             mxstep=MAX_STEPS)
-        if info["message"] != "Integration successful.":
-            raise ConvergenceError(f"cumulant integration failed: {info['message']}")
+        # the arguments scipy.integrate.odeint passes, so that the states
+        # are its to the bit
+        y, _, istate = _odepack.odeint(
+            cumulant_rhs, np.zeros(8), t_grid.copy(), (p,), ml=-1, mu=-1, full_output=1,
+            rtol=rt, atol=at, mxstep=MAX_STEPS, mxordn=12, mxords=5, tfirst=1)
+        if istate != 2:
+            raise ConvergenceError(f"cumulant integration failed: LSODA istate {istate}")
         if not np.isfinite(y).all():
             # LSODA reports success on a NaN right-hand side
             raise ConvergenceError("cumulant integration produced a non-finite state")

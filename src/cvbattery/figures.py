@@ -10,7 +10,6 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy.special import lambertw
 
 from . import cumulant, linear, perturbation
 from .cli import _OPTIMA, Scenario, _cell, _linear_optima, _sweep_point, _write_csv
@@ -131,6 +130,8 @@ FIGURES = {
 
 
 def print_constants(out):
+    from scipy.special import lambertw
+
     lc = linear.linear_constants()
     pc = perturbation.perturbation_constants()
     alpha_residual = abs(math.tan(pc.alpha) - 4.0 * pc.alpha)

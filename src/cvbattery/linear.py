@@ -3,15 +3,15 @@
 The stored energy, optimal charging times and powers of the linear model are
 all analytic; the only numerics here are two scalar root solves (for the
 dimensionless constants) and a 1-D maximization of the charging power,
-solved for many parameter points at once.
+solved for many parameter points at once.  The root solvers are imported
+inside ``linear_constants``, so that no route loads scipy.optimize or
+scipy.special.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import lambertw
 
 from .errors import ConvergenceError, InvalidInputError
 
@@ -53,6 +53,9 @@ def linear_constants() -> LinearConstants:
     A = -1/2 - W_-1(-1/(2 sqrt(e))), B solves tan(B/2) = 2B on (2, 3),
     C = 2(1 - e^-A)^2/A and D_strong = 4 sin^4(B/2)/B.
     """
+    from scipy.optimize import brentq
+    from scipy.special import lambertw
+
     a = -0.5 - float(lambertw(-1.0 / (2.0 * math.sqrt(math.e)), -1).real)
     b = brentq(lambda x: math.tan(x / 2.0) - 2.0 * x, 2.0, 3.0, xtol=1e-15)
     c = 2.0 * (1.0 - math.exp(-a)) ** 2 / a

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .cumulant import NonlinearParams
 from .errors import InvalidInputError, UnsupportedRegimeError
@@ -26,6 +25,8 @@ class PerturbationConstants:
 
 
 def perturbation_constants() -> PerturbationConstants:
+    from scipy.optimize import brentq
+
     alpha = brentq(lambda x: math.tan(x) - 4.0 * x, 1.2, 1.5, xtol=1e-15)
     beta = 2.0 * math.sqrt(2.0) * math.sin(alpha) ** 4 / alpha
     return PerturbationConstants(alpha=alpha, beta=beta)

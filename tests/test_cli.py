@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import errno
 import io
 import math
 import os
@@ -589,6 +590,16 @@ class TestRunCommand:
     def test_missing_scenario_exit_code(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "none.txt")]) == 2
 
+    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, LINEAR_SCENARIO)
+        out = tmp_path / "missing" / "out.csv"
+        assert cli.main(["run", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: cannot write {out}: {os.strerror(errno.ENOENT)}"]
+        assert not out.parent.exists()
+
     def test_convergence_error_exit_code(self, tmp_path, monkeypatch):
         path = write_scenario(tmp_path, LINEAR_SCENARIO)
 
@@ -679,6 +690,16 @@ class TestFigureCommand:
         assert len(b_e) == 2001
         assert column("fig3_c_f_moderate.csv", "energy_Omega_0.25") == b_e
 
+    def test_out_that_is_a_file_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        assert cli.main(["figure", "fig2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: cannot write {out}: {os.strerror(errno.EEXIST)}"]
+        assert out.read_text() == "kept\n"
+
     def test_unknown_figure_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(["figure", "fig9", "--out", str(tmp_path)])
@@ -707,6 +728,29 @@ class TestFigureCommand:
                                 env=env, capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "False True"
+
+    def test_only_constants_load_the_root_solvers(self, tmp_path):
+        # in a fresh interpreter: the routes and figures load neither
+        # scipy.integrate (LSODA is loaded on its own) nor the root solvers
+        path = write_scenario(tmp_path, NONLINEAR_SCENARIO.replace(
+            "route = cumulant", "route = all\ncutoff_a = 3\ncutoff_b = 4").replace(
+            "n_samples = 101", "n_samples = 9"))
+        code = ("import sys\n"
+                "from cvbattery import cli\n"
+                "names = ('scipy.integrate', 'scipy.optimize', 'scipy.special')\n"
+                "loaded = []\n"
+                "for argv in (['run', sys.argv[1], '--out', sys.argv[2] + '/run.csv'],\n"
+                "             ['figure', 'fig2', '--out', sys.argv[2]],\n"
+                "             ['figure', 'fig3', '--out', sys.argv[2]], ['constants']):\n"
+                "    assert cli.main(argv) == 0\n"
+                "    loaded.append([n for n in names if n in sys.modules])\n"
+                "print(loaded)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", code, str(path), str(tmp_path)],
+                                env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == str(
+            [[], [], [], ["scipy.optimize", "scipy.special"]])
 
 
 class TestConstantsCommand:

@@ -1,14 +1,21 @@
 """Unit tests for the nonlinear cumulant route."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import odeint, solve_ivp
 
 from cvbattery import cumulant
 from cvbattery.cumulant import (
+    ATOL,
+    MAX_STEPS,
+    RTOL,
     NonlinearParams,
     cumulant_rhs,
     integrate_cumulant,
@@ -163,6 +170,36 @@ class TestIntegration:
                         t_eval=traj.times, args=(p,), rtol=1e-13, atol=1e-15).y.T
         assert np.max(np.abs(traj.states - ref)) <= 1e-10 * np.max(np.abs(ref))
 
+    # the traj-nonlinear benchmark point and fig3's four points
+    @pytest.mark.parametrize("Omega, gamma, t_end, n", [
+        (0.25, 0.5, 40.0, 257), (0.25, 0.0, 10.0, 2001), (0.25, 0.5, 40.0, 2001),
+        (0.05, 0.5, 40.0, 2001), (1.0, 0.5, 40.0, 2001),
+    ])
+    def test_states_are_the_public_odeints(self, Omega, gamma, t_end, n):
+        p = NonlinearParams(Omega=Omega, J=1.0, gamma=gamma)
+        traj = integrate_cumulant(p, t_end, n)
+        ref = odeint(cumulant_rhs, np.zeros(8), traj.times, args=(p,), tfirst=True,
+                     rtol=RTOL, atol=ATOL, mxstep=MAX_STEPS)
+        assert np.array_equal(traj.states, ref)
+
+    def test_public_odeint_unchanged_after_cvbattery_loads_lsoda(self):
+        # in a fresh interpreter, so that cvbattery loads LSODA's extension
+        # before scipy.integrate does
+        code = ("import numpy as np\n"
+                "from cvbattery import cumulant\n"
+                "p = cumulant.NonlinearParams(Omega=0.25, J=1.0, gamma=0.5)\n"
+                "traj = cumulant.integrate_cumulant(p, 40.0, 257)\n"
+                "from scipy.integrate import odeint\n"
+                "ref = odeint(cumulant.cumulant_rhs, np.zeros(8), traj.times, args=(p,),\n"
+                "             tfirst=True, rtol=cumulant.RTOL, atol=cumulant.ATOL,\n"
+                "             mxstep=cumulant.MAX_STEPS)\n"
+                "print(np.array_equal(traj.states, ref))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(cumulant.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["True"]
+
     def test_sparse_grid(self):
         # two samples: one output interval of many steps, no step cap applies
         p = NonlinearParams(Omega=1.0, J=1.0, gamma=0.5)
@@ -197,7 +234,8 @@ class TestIntegration:
     def test_failed_integration_is_an_error(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(ConvergenceError, match="cumulant integration failed"):
+            with pytest.raises(ConvergenceError,
+                               match="cumulant integration failed: LSODA istate -3"):
                 integrate_cumulant(NonlinearParams(Omega=1e200, J=1.0, gamma=0.5), 40.0)
         assert not caught
 

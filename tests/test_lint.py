@@ -1,11 +1,13 @@
 """Static checks on the package source: no unused import, no private
 module-level name that nothing references, no import from scipy's private
-modules beyond the one the Fock propagator needs, no caller of that
-propagator but ``focksim``, and every per-layer time and call count that the
-benchmark names still traced."""
+modules (by an import statement or by name) beyond those the Fock propagator
+and the cumulant route's LSODA need, no caller of that propagator but
+``focksim``, and every per-layer time and call count that the benchmark names
+still traced."""
 
 import ast
 import json
+import re
 import types
 from pathlib import Path
 
@@ -66,27 +68,39 @@ def test_every_private_name_is_referenced():
 # The imports from scipy's private modules: the propagator takes its degree
 # and step count from scipy and runs its products on scipy's CSR kernel, and
 # tests/test_focksim.py pins the result bit for bit to scipy's per-sample
-# branch.
+# branch.  The cumulant route loads LSODA's extension by its name, without
+# importing scipy.integrate, and tests/test_cumulant.py pins its states bit
+# for bit to the public odeint.
 ALLOWED_PRIVATE_SCIPY = {
     ("propagate.py", "scipy.sparse._sparsetools", "csr_matvec"),
     ("propagate.py", "scipy.sparse.linalg._expm_multiply", "LazyOperatorNormInfo"),
     ("propagate.py", "scipy.sparse.linalg._expm_multiply", "_fragment_3_1"),
+    ("cumulant.py", "scipy.integrate._odepack", None),
 }
 
 
+def _is_private_scipy(module):
+    parts = module.split(".")
+    return parts[0] == "scipy" and any(part.startswith("_") for part in parts)
+
+
 def _private_scipy_imports(path):
-    """(file, module, name) of every import from a private scipy module."""
+    """(file, module, name) of every import from a private scipy module, and
+    (file, module, None) of every string constant that names one, as a
+    module loaded by its name would."""
     out = []
     for node in ast.walk(_tree(path)):
         if isinstance(node, ast.ImportFrom) and node.module:
             found = [(node.module, a.name) for a in node.names]
         elif isinstance(node, ast.Import):
             found = [(a.name, None) for a in node.names]
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"\w+(\.\w+)+", node.value)):
+            found = [(node.value, None)]
         else:
             continue
         out += [(path.name, module, name) for module, name in found
-                if module.split(".")[0] == "scipy"
-                and any(part.startswith("_") for part in module.split("."))]
+                if _is_private_scipy(module)]
     return out
 
 
@@ -104,6 +118,14 @@ def test_private_scipy_import_check_sees_both_forms(tmp_path):
         ("mod.py", "scipy.sparse._sputils", None),
         ("mod.py", "scipy.linalg._decomp_qr", "qr"),
     ]
+
+
+def test_private_scipy_import_check_sees_a_module_named_by_a_string(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("spec = find_spec('scipy.integrate._quadpack', path)\n"
+                    "name = 'scipy.integrate'\n"
+                    "note = 'scipy.integrate._quadpack is private'\n")
+    assert _private_scipy_imports(path) == [("mod.py", "scipy.integrate._quadpack", None)]
 
 
 def _imports_the_propagator(path):
