@@ -9,23 +9,20 @@ integrator monitors.
 The equations are integrated with LSODA (ODEPACK), which steps and
 interpolates onto the output grid in compiled code and enters Python only
 for the right-hand side.  It is called through scipy's compiled extension
-``_odepack``, loaded on its own: importing it through ``scipy.integrate``
-would run that package's ``__init__``, which loads scipy.optimize,
-scipy.special and more that no route uses.
+``_odepack``, loaded on its own (``scipyext``): importing it through
+``scipy.integrate`` would run that package's ``__init__``, which loads
+scipy.optimize, scipy.special and more that no route uses.
 """
 
-import importlib.machinery
-import importlib.util
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .errors import ConvergenceError, InvalidInputError
 from .gaussian import MomentState, QuadratureStats, covariance_determinant
+from .scipyext import load_extension
 
 DET_DRIFT_TOL = 1e-8
 RTOL, ATOL = 1e-12, 1e-14  # integrator tolerances of the first attempt
@@ -35,23 +32,7 @@ RETRY_TIGHTEN = 10.0
 # LSODA's step cap per output interval (default 500) would fail a sparse
 # grid; the largest value it accepts removes the cap
 MAX_STEPS = np.iinfo(np.int32).max
-
-
-def _load_odepack():
-    """scipy's LSODA extension module, executed from its file and not
-    registered in ``sys.modules``."""
-    name = "scipy.integrate._odepack"
-    spec = importlib.machinery.PathFinder.find_spec(
-        name, [str(Path(scipy.__file__).parent / "integrate")])
-    if spec is None:
-        raise ImportError(f"{name} not found in scipy {scipy.__version__}: cvbattery "
-                          "needs scipy>=1.17,<1.18")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_odepack = _load_odepack()
+_odepack = load_extension("scipy.integrate._odepack")
 
 
 @dataclass(frozen=True)

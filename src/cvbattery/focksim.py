@@ -26,13 +26,19 @@ Of that half, ``evolve`` keeps only the entries that the observables read
 (246 of 1176 at (8,12)); the six Fock moments weigh each by the mode
 operators at its index pair (``_moment_weights``).  ``evolve`` checks no
 sample: ``check_density_matrix(traj.rhos)`` checks them all.
+
+Every sparse matrix of the route (the Hamiltonian, the reachable kets'
+closure, the folded operator, the moment weights and the unfolding of a
+stack) is a canonical ``propagate.CSR``, built from its entries by index
+arithmetic on Fock numbers, each entry the value that scipy's sparse
+products give it, and every product with one runs on scipy's compiled CSR
+kernels: so a run never imports scipy.sparse, and its results are the bits
+that the scipy-built operators gave.
 """
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     ConvergenceError,
@@ -40,8 +46,8 @@ from .errors import (
     UnphysicalStateError,
 )
 from .gaussian import MomentState
-# scipy's CSR kernel, the step of ``_sector``, comes with the propagator
-from .propagate import csr_matvec, expm_multiply
+# scipy's CSR kernels and the CSR layout come with the propagator
+from .propagate import CSR, csr, csr_matvec, csr_matvecs, csr_rows, expm_multiply
 
 TOP_LEVEL_TOL = 1e-6  # max allowed population of the highest retained level
 CONVERGENCE_REL = 1e-4  # converge_cutoffs: relative change that counts as settled
@@ -61,38 +67,42 @@ class FockConfig:
             raise InvalidInputError("cutoffs must be at least 2")
 
 
-def destroy(n: int) -> sp.csr_matrix:
-    """Annihilation operator on an n-level truncated Fock space."""
-    return sp.diags(np.sqrt(np.arange(1, n)), 1, format="csr").astype(complex)
-
-
-@lru_cache(maxsize=8)
-def mode_operators(c: FockConfig):
-    """Two-mode annihilation operators (a, b) on the product space.
-
-    Cached per truncation; the returned matrices are shared, so callers
-    must not modify them in place.
-    """
-    a = sp.kron(destroy(c.cutoff_a), sp.identity(c.cutoff_b), format="csr")
-    b = sp.kron(sp.identity(c.cutoff_a), destroy(c.cutoff_b), format="csr")
-    return a, b
-
-
-def build_hamiltonian(kind: str, p, c: FockConfig) -> sp.csr_matrix:
-    """Rotated-frame Hamiltonian on the truncated product space.
+def build_hamiltonian(kind: str, p, c: FockConfig) -> CSR:
+    """Rotated-frame Hamiltonian on the truncated product space, a real
+    canonical CSR matrix (every Fock-basis element is real).
 
     linear:    g (a'b + b'a) + Omega (a' + a)
     nonlinear: J (a'bb + b'b'a) + Omega (a' + a)
+
+    Each element is its rate times the product of the operator string's
+    ladder factors sqrt(n), taken from left to right: the value that scipy
+    gives the product of the sparse mode operators.
     """
-    a, b = mode_operators(c)
-    ad, bd = a.conj().T, b.conj().T
-    if kind == "linear":
-        coupling = p.g * (ad @ b + bd @ a)
-    elif kind == "nonlinear":
-        coupling = p.J * (ad @ b @ b + bd @ bd @ a)
-    else:
+    if kind not in ("linear", "nonlinear"):
         raise InvalidInputError(f"unknown coupling kind {kind!r}")
-    return (coupling + p.Omega * (ad + a)).tocsr()
+    dim = c.cutoff_a * c.cutoff_b
+    n_a, n_b = np.divmod(np.arange(dim), c.cutoff_b)
+    root = np.sqrt(np.arange(max(c.cutoff_a, c.cutoff_b) + 2.0))
+    lower = n_a >= 1
+    raise_ = n_a + 1 < c.cutoff_a
+    # (kets acted on, step of the flat index, rate x element) of each term
+    if kind == "linear":
+        rate = p.g
+        terms = [(raise_ & (n_b >= 1), c.cutoff_b - 1, root[n_a + 1] * root[n_b]),  # a'b
+                 (lower & (n_b + 1 < c.cutoff_b), 1 - c.cutoff_b, root[n_b + 1] * root[n_a])]
+    else:
+        rate = p.J
+        terms = [(raise_ & (n_b >= 2), c.cutoff_b - 2,  # a'bb
+                  root[n_a + 1] * root[np.maximum(n_b - 1, 0)] * root[n_b]),
+                 (lower & (n_b + 2 < c.cutoff_b), 2 - c.cutoff_b,  # b'b'a
+                  root[n_b + 2] * root[n_b + 1] * root[n_a])]
+    terms = [(on, step, rate * value) for on, step, value in terms]
+    terms += [(raise_, c.cutoff_b, p.Omega * root[n_a + 1]),  # Omega a'
+              (lower, -c.cutoff_b, p.Omega * root[n_a])]  # Omega a
+    cols = [np.flatnonzero(on) for on, _, _ in terms]
+    return csr(np.concatenate([k + step for k, (_, step, _) in zip(cols, terms)]),
+               np.concatenate(cols),
+               np.concatenate([value[k] for k, (_, _, value) in zip(cols, terms)]), (dim, dim))
 
 
 class FockTrajectory:
@@ -143,17 +153,16 @@ class FockTrajectory:
 
     def moments(self) -> np.ndarray:
         """(n_samples, 6) complex <a>, <a'a>, <aa>, <b>, <b'b>, <bb>, from one
-        real product of the stack with the folded weights of
-        ``_moment_weights``: their real and imaginary parts are the 12
-        columns of that product, so the stack is never copied to complex."""
+        real product of the folded weights of ``_moment_weights`` with the
+        stack: their real and imaginary parts are the 12 rows of that
+        product, so the stack is never copied to complex."""
         if self._moments is None:
-            W = self._weights
-            # gather the few stack columns that any moment weights (165 of
-            # 246 kept at (8,12)) first: scipy copies a product's dense
-            # operand transposed
-            cols = np.unique(W.indices)
-            P = self.sector_states[:, cols] @ W[cols]
-            self._moments = P[:, :6] + 1j * P[:, 6:]
+            W, n = self._weights, self.times.size
+            P = np.zeros((12, n))
+            # scipy's kernel reads the stack one column at a time: transposed
+            csr_matvecs(12, W.shape[1], n, W.indptr, W.indices, W.data,
+                        self.sector_states.T.ravel(), P.ravel())
+            self._moments = P[:6].T + 1j * P[6:].T
         return self._moments
 
     def battery_population(self) -> np.ndarray:
@@ -171,11 +180,6 @@ class FockTrajectory:
         (i, j), (i2, k2) = np.divmod(k, cb), np.divmod(l, cb)
         sel = np.flatnonzero(i == i2)
         return _unfold(self.sector_states[:, sel], j[sel], k2[sel], self.phase[sel], cb)
-
-
-def expectation(rho: np.ndarray, op) -> complex:
-    """Tr(rho O) via a sparse contraction."""
-    return complex((op.multiply(rho.T)).sum())
 
 
 def check_density_matrix(rho: np.ndarray) -> np.ndarray:
@@ -248,70 +252,109 @@ def _folded_problem(kind: str, p, c: FockConfig, v0: np.ndarray):
     stack holds entry ``sector[j]`` = k * dim + l: rho[k, l] gets
     phase[j] * x[j] from it and rho[l, k] the conjugate, so phase is
     i^(n_a(k) - n_a(l)) on S and i times that on A.
+
+    M is built from its entries (``csr``), which are scipy's values for the
+    sparse products above: each entry of L is a rate times ladder factors,
+    (gamma/2)(2 a(k) a(l)) or the diagonal's (gamma/2)((-n_a(k)) - n_a(l)),
+    no two of its terms share a position, and a fold adds at most two
+    entries of L.  M is canonical, with no stored zero.  The block of A is
+    built only where x0 has an antisymmetric part.
     """
     dim = c.cutoff_a * c.cutoff_b
     H = build_hamiltonian(kind, p, c)
-    a, _ = mode_operators(c)
-    kets = _sector(abs(H) + abs(a), v0.reshape(dim, dim).any(axis=1))
-    H = H[kets][:, kets]
-    rows = np.repeat(np.arange(kets.size), np.diff(H.indptr))
-    H.data *= _frame_phase(kets[H.indices] * dim + kets[rows], c)  # V'HV, exactly
-    if np.any(H.data.real):
+    h_rows = csr_rows(H)
+    a_cols = np.arange(c.cutoff_b, dim)  # a: |n_a, n_b> -> sqrt(n_a) |n_a - 1, n_b>
+    a_rows = a_cols - c.cutoff_b
+    reach = csr(np.r_[h_rows, a_rows], np.r_[H.indices, a_cols], np.ones(H.nnz + a_cols.size),
+                (dim, dim))
+    kets = _sector(reach, v0.reshape(dim, dim).any(axis=1))
+    nk = kets.size
+    local = np.full(dim, -1)
+    local[kets] = np.arange(nk)
+    inside = (local[h_rows] >= 0) & (local[H.indices] >= 0)
+    h_rows, h_cols = h_rows[inside], H.indices[inside]
+    framed = H.data[inside] * _frame_phase(h_cols * dim + h_rows, c)  # V'HV, exactly
+    if np.any(framed.real):
         raise InvalidInputError(f"{kind} Liouvillian is not real in the i^n_a frame: "
                                 "V'HV has a real part")
-    Y = H.imag
-    a = a[kets][:, kets].real
-    n_a = a.T @ a
-    eye = sp.identity(kets.size, format="csr")
-    # row-major: vec(A X B) = (A kron B^T) vec(X)
-    L = sp.kron(Y, eye) - sp.kron(eye, Y.T)
-    L += p.gamma / 2.0 * (2.0 * sp.kron(a, a) - sp.kron(n_a, eye) - sp.kron(eye, n_a))
-    L = L.tocsr()
+    yr, yc, y = local[h_rows], local[h_cols], framed.imag
+    on = local[a_cols] >= 0
+    ar, ac = local[a_rows[on]], local[a_cols[on]]
+    a = np.sqrt(a_cols[on] // c.cutoff_b, dtype=float)
+    n_a = np.zeros(nk)
+    n_a[ac] = a * a
+    g2, i = p.gamma / 2.0, np.arange(nk)
+    # the entries of L on the kets x kets; row-major: vec(A X B) = (A kron B^T) vec(X)
+    rows = np.concatenate([(yr[:, None] * nk + i).ravel(),  # Y x 1
+                           (i[:, None] * nk + yc).ravel(),  # -1 x Y^T
+                           (ar[:, None] * nk + ar).ravel(),  # 2 a x a
+                           np.arange(nk * nk)])  # -n_a x 1 - 1 x n_a
+    cols = np.concatenate([(yc[:, None] * nk + i).ravel(), (i[:, None] * nk + yr).ravel(),
+                           (ac[:, None] * nk + ac).ravel(), np.arange(nk * nk)])
+    vals = np.concatenate([np.repeat(y, nk), np.tile(-y, nk),
+                           g2 * (2.0 * np.multiply.outer(a, a)).ravel(),
+                           g2 * np.subtract.outer(-n_a, n_a).ravel()])
     sector = (kets[:, None] * dim + kets).ravel()
     phase = _frame_phase(sector, c)
-    k, l = np.divmod(sector, dim)
-    mirror = np.searchsorted(sector, l * dim + k)  # kets x kets is transpose-closed
-    lower = np.flatnonzero(k > l)
-
-    def fold(half, sign):
-        """L[half] E, with E taking (k, l) to the column of the kept entry
-        (min, max), times ``sign`` below the diagonal."""
-        col = np.empty(sector.size, dtype=np.intp)
-        col[half] = np.arange(half.size)
-        E = sp.csr_matrix((np.r_[np.ones(half.size), np.full(lower.size, sign)],
-                           (np.r_[half, lower], np.r_[col[half], col[mirror[lower]]])),
-                          shape=(sector.size, half.size))
-        return L[half] @ E
-
+    k, l = np.divmod(np.arange(nk * nk), nk)
+    kept = np.minimum(k, l) * nk + np.maximum(k, l)  # the entry that stands for (k, l)
     sym, antisym = np.flatnonzero(k <= l), np.flatnonzero(k < l)
-    M = sp.block_diag((fold(sym, 1.0), fold(antisym, -1.0)), format="csr")
     sector = np.r_[sector[sym], sector[antisym]]
     phase = np.r_[phase[sym], 1j * phase[antisym]]
     x0 = (phase.conj() * v0[sector]).real  # exact: phase holds powers of i
-    keep = _sector(M, x0)
-    return M[keep][:, keep], x0[keep], sector[keep], phase[keep]
-
-
-def _moment_weights(sector, phase, c: FockConfig):
-    """(sector.size, 12) real CSC weights W: the stack times W gives the real
-    parts of <a>, <a'a>, <aa>, <b>, <b'b>, <bb> in columns 0-5 and their
-    imaginary parts in 6-11.  Column j stands for rho[k, l] and rho[l, k],
-    so O weighs it with phase[j] O[l, k] + conj(phase[j]) O[k, l], the
-    second term only off the diagonal: as O is real in the Fock basis and
-    phase[j] a power of i, that is exactly Re(phase[j]) (O[l, k] + O[k, l])
-    + i Im(phase[j]) (O[l, k] - O[k, l]), read from the sparse operators at
-    the sector's index pairs.  Only nonzero weights are stored."""
-    k, l = np.divmod(sector, c.cutoff_a * c.cutoff_b)
-    a, b = mode_operators(c)
+    blocks = [(sym, 1.0, 0)] + ([(antisym, -1.0, sym.size)] if np.any(x0[sym.size:]) else [])
     parts = []
-    for o, op in enumerate((a, a.conj().T @ a, a @ a, b, b.conj().T @ b, b @ b)):
-        lk = np.asarray(op[l, k]).ravel().real
-        kl = np.where(k != l, np.asarray(op[k, l]).ravel().real, 0.0)
-        w = np.array([phase.real * (lk + kl), phase.imag * (lk - kl)])
-        part, j = np.nonzero(w)  # real or imaginary part, stack column
-        parts.append((w[part, j], j, o + 6 * part))
-    data, row, col = map(np.concatenate, zip(*parts))
-    return sp.csc_matrix((data, (row, col)), shape=(sector.size, 12))
+    for half, sign, offset in blocks:
+        # L[half] E, with E taking (k, l) to the column of the kept entry
+        # (min, max), times ``sign`` below the diagonal
+        col = np.full(nk * nk, -1)
+        col[half] = np.arange(offset, offset + half.size)
+        to = col[kept[cols]]
+        sel = (col[rows] >= 0) & (to >= 0)
+        parts.append((col[rows[sel]], to[sel],
+                      vals[sel] * np.where(k[cols[sel]] > l[cols[sel]], sign, 1.0)))
+    M = csr(*map(np.concatenate, zip(*parts)), (sector.size, sector.size))
+    keep = _sector(M, x0)
+    new = np.full(sector.size, -1)
+    new[keep] = np.arange(keep.size)
+    rows, cols = new[csr_rows(M)], new[M.indices]
+    sel = (rows >= 0) & (cols >= 0)
+    M = csr(rows[sel], cols[sel], M.data[sel], (keep.size, keep.size))
+    return M, x0[keep], sector[keep], phase[keep]
+
+
+def _mode_elements(k, l, c: FockConfig) -> np.ndarray:
+    """(6, k.size): the Fock-basis elements O[k, l] of a, a'a, aa, b, b'b,
+    bb at the flat indices k and l, each as scipy gives it for the product of
+    the sparse mode operators: sqrt(n), sqrt(n) sqrt(n) and
+    sqrt(n - 1) sqrt(n) for n of the mode at l, where the other mode's
+    number agrees and this one's falls by 1, 0 and 2 from l to k."""
+    k, l = np.divmod(k, c.cutoff_b), np.divmod(l, c.cutoff_b)
+    root = np.sqrt(np.arange(-1.0, max(c.cutoff_a, c.cutoff_b)).clip(0.0))  # sqrt(n - 1)
+    out = []
+    for mode in (0, 1):
+        (nk, nl), other = (k[mode], l[mode]), k[1 - mode] == l[1 - mode]
+        for step, value in ((1, root[nl + 1]), (0, root[nl + 1] * root[nl + 1]),
+                            (2, root[nl] * root[nl + 1])):
+            out.append(np.where(other & (nk == nl - step), value, 0.0))
+    return np.array(out)
+
+
+def _moment_weights(sector, phase, c: FockConfig) -> CSR:
+    """(12, sector.size) real weights W: W times the transposed stack gives
+    the real parts of <a>, <a'a>, <aa>, <b>, <b'b>, <bb> in rows 0-5 and
+    their imaginary parts in 6-11.  Column j stands for rho[k, l] and
+    rho[l, k], so O weighs it with phase[j] O[l, k] + conj(phase[j]) O[k, l],
+    the second term only off the diagonal: as O is real in the Fock basis
+    and phase[j] a power of i, that is exactly Re(phase[j]) (O[l, k] +
+    O[k, l]) + i Im(phase[j]) (O[l, k] - O[k, l]), with the elements of
+    ``_mode_elements``.  Only nonzero weights are stored."""
+    k, l = np.divmod(sector, c.cutoff_a * c.cutoff_b)
+    lk = _mode_elements(l, k, c)
+    kl = np.where(k != l, _mode_elements(k, l, c), 0.0)
+    w = np.concatenate([phase.real * (lk + kl), phase.imag * (lk - kl)])
+    row, j = np.nonzero(w)
+    return csr(row, j, w[row, j], (12, sector.size))
 
 
 def _cutoff_ok(stack, sector, kind: str, c: FockConfig) -> bool:
@@ -335,17 +378,27 @@ def _unfold(stack, rows, cols, coef, n: int) -> np.ndarray:
     """(n_samples, n, n): the Hermitian matrices sum_j stack[:, j]
     (coef[j] |rows[j]><cols[j]| + conj(coef[j]) |cols[j]><rows[j]|) that a
     folded stack holds, a diagonal entry counted once.  They are the product
-    of the stack with one sparse (coef.size, n^2) matrix U, taken as two real
-    products, so the real stack is never copied to complex, and real when
-    every coef is real."""
+    of one sparse (n^2, coef.size) matrix U with the transposed stack, taken
+    as two real products, so the real stack is never copied to complex, and
+    real when every coef is real.  Each entry of U's rows is added in column
+    order, the order in which scipy's product of the stack with U^T adds
+    them."""
     j = np.arange(coef.size)
     off = rows != cols
-    U = sp.csr_matrix((np.r_[coef, coef[off].conj()],
-                       (np.r_[j, j[off]], np.r_[rows * n + cols, (cols * n + rows)[off]])),
-                      shape=(coef.size, n * n))
-    out = stack @ U.real
+    at = np.r_[rows * n + cols, (cols * n + rows)[off]]
+    j, coef = np.r_[j, j[off]], np.r_[coef, coef[off].conj()]
+    stack_t = stack.T.ravel()
+
+    def product(values):
+        U = csr(at, j, values, (n * n, stack.shape[1]))
+        out = np.zeros((n * n, len(stack)))
+        csr_matvecs(n * n, stack.shape[1], len(stack), U.indptr, U.indices, U.data, stack_t,
+                    out.ravel())
+        return out.T
+
+    out = product(coef.real)
     if np.any(coef.imag):
-        out = out + 1j * (stack @ U.imag)
+        out = out + 1j * product(coef.imag)
     return out.reshape(-1, n, n)
 
 
@@ -424,23 +477,20 @@ def evolve(
     read = kets // c.cutoff_b == bras // c.cutoff_b
     read[W.indices] = True
     kept = np.flatnonzero(read)
+    W = CSR(W.data, (np.cumsum(read) - 1)[W.indices], W.indptr, (12, kept.size))  # on kept
     out = expm_multiply(L, x0, t_end, n_samples, kept)
     return FockTrajectory(np.linspace(0.0, t_end, n_samples), out, sector[kept], phase[kept],
-                          W[kept], problem, p, c, _cutoff_ok(out, sector[kept], kind, c))
+                          W, problem, p, c, _cutoff_ok(out, sector[kept], kind, c))
 
 
 def extract_moments(rho: np.ndarray, c: FockConfig) -> MomentState:
-    """All six first/second moments of both modes by trace contractions."""
-    a, b = mode_operators(c)
-    ad, bd = a.conj().T, b.conj().T
-    return MomentState(
-        a_mean=expectation(rho, a),
-        a_num=np.real(expectation(rho, ad @ a)),
-        a_sq=expectation(rho, a @ a),
-        b_mean=expectation(rho, b),
-        b_num=np.real(expectation(rho, bd @ b)),
-        b_sq=expectation(rho, b @ b),
-    )
+    """All six first/second moments of both modes, Tr(rho O) summed over the
+    Fock-basis elements of each mode operator O."""
+    dim = c.cutoff_a * c.cutoff_b
+    k, l = np.divmod(np.arange(dim * dim), dim)
+    m = _mode_elements(k, l, c) @ np.asarray(rho).T.ravel()  # O[k, l] rho[l, k]
+    return MomentState(a_mean=complex(m[0]), a_num=float(m[1].real), a_sq=complex(m[2]),
+                       b_mean=complex(m[3]), b_num=float(m[4].real), b_sq=complex(m[5]))
 
 
 def reduced_battery_state(rho: np.ndarray, c: FockConfig) -> np.ndarray:

@@ -4,8 +4,18 @@ the truncated Taylor series of Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
 488 (2011), algorithm 5.2, as scipy's ``expm_multiply`` implements it, run
 here with scipy's arithmetic but without its per-term overhead.
 
-A is shifted by mu = tr(A)/n, and scipy's own norm estimates fix the Taylor
-degree m* and the step count s for one sample step h.  Where one step needs
+A is any matrix in canonical CSR form (sorted column indices, no duplicate
+entries) with the attributes ``data``, ``indices``, ``indptr``, ``shape``
+and ``nnz``: the package's own ``CSR``, built by ``csr`` from coordinates,
+or a scipy sparse matrix.  Its products run on scipy's compiled CSR kernels,
+loaded from their file (``scipyext``), so the Fock route never imports
+scipy.sparse.
+
+A is shifted by mu = tr(A)/n, and the Taylor degree m* and the step count s
+for one sample step h are scipy's choice: from the exact 1-norm of h A where
+that norm meets the paper's condition (3.13), by scipy's table and cost
+loop written out here, and otherwise by scipy's own selection from
+estimated norms of powers of h A (``_taylor_plan``).  Where one step needs
 s >= 2 sub-steps, each sample is the previous one advanced by s Taylor
 series in hA/s: scipy's per-sample branch, bit for bit.  Where it needs one,
 a single series from sample k serves the d samples that it spans, the
@@ -16,65 +26,151 @@ per-sample loop again.  The terms are computed once per series, and sample
 k + i is sum_j i^j T_j times exp(i h mu / s), one phase step for every span.
 """
 
+import math
+from typing import NamedTuple
+
 import numpy as np
-import scipy.sparse as sp
-# scipy's CSR product kernel (also the step of ``focksim._sector``) and its
-# (degree, step count) selection: the package's only private scipy imports,
-# pinned by the bit-identity tests of ``expm_multiply`` and by the scipy
-# version bound in pyproject.toml
-from scipy.sparse._sparsetools import csr_matvec
-from scipy.sparse.linalg._expm_multiply import LazyOperatorNormInfo, _fragment_3_1
 
 from .errors import ConvergenceError
+from .scipyext import load_extension
+
+# scipy's compiled CSR kernels, the products of its sparse matrices:
+# csr_matvec adds A x into y, csr_matvecs adds A X into Y for row-major
+# blocks X and Y, each row of A summed in its stored order
+_sparsetools = load_extension("scipy.sparse._sparsetools")
+csr_matvec, csr_matvecs = _sparsetools.csr_matvec, _sparsetools.csr_matvecs
 
 _UNIT_ROUNDOFF = 2.0**-53  # the Taylor series stops when its terms fall below it
-_THETA_55 = 9.9  # scipy's theta_m at its highest degree, m = 55
+# scipy's theta_m: ||h A||_1 <= theta_m bounds the error of the degree-m
+# Taylor series of exp(h A) by the unit roundoff (Al-Mohy & Higham, tables
+# A.3 and 3.1)
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3, 7: 2.38e-2,
+    8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1,
+    14: 5.14e-1, 15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43, 26: 2.64, 27: 2.86, 28: 3.08,
+    29: 3.31, 30: 3.54, 35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+# condition (3.13), in scipy's arithmetic: below this ||h A||_1 the 1-norm
+# alone fixes (m*, s); 2 l p_max (p_max + 3) theta_55 / 55 with l = 2 norm
+# columns and p_max = 8, the largest p with p (p - 1) <= 56
+_BOUND_3_13 = 352 * (_THETA[55] / float(55))
 # the most samples one series serves: keeps the weights i^j (j <= 55) and
 # their table small and the terms (h A)^j / j! far from underflow
 _MAX_SPAN = 64
 
 
-def _taylor_plan(A, t, num):
-    """(A - mu I, mu, m*, s, d) for ``num`` samples over [0, t]: the shift
-    mu = tr(A)/n, the Taylor degree m*, the sub-step count s and the samples
-    d that one series serves.
+class CSR(NamedTuple):
+    """An n_rows x n_cols sparse matrix in scipy's CSR layout: row i holds
+    the values ``data[indptr[i]:indptr[i + 1]]`` in the columns ``indices``
+    of the same slice."""
 
-    (m*, s) are scipy's choice for one sample step, from its norm estimates
-    on numpy's global RNG seeded with 0, the caller's state restored
-    afterwards.  If s = 1, d is the largest count with
-    d h ||A - mu I||_1 <= theta_55 (at most num - 1 and ``_MAX_SPAN``), and
-    for d > 1 m* is scipy's degree at d h.  That call takes scipy's 1-norm
-    branch, which draws nothing from the RNG, and its step count is 1 except
-    for d h ||A||_1 in (theta_1, 2 theta_1], where degree 1 at 2 steps ties
-    degree 2 at 1; m* times it is a degree that covers d h in one series,
-    as theta_m / m grows with m.  A norm that is zero or underflows gives
-    m* = 0, s = 1 and d = 1: each sample is the previous one times
-    exp(h mu).
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+
+def csr(rows, cols, vals, shape) -> CSR:
+    """The canonical CSR matrix of ``shape`` with the entries ``vals`` at
+    (``rows``, ``cols``): columns sorted within each row, the entries at one
+    position summed and zero sums dropped, the form that scipy's sparse
+    arithmetic leaves.  A sum of two entries does not depend on their order,
+    so where no more than two share a position the values are scipy's."""
+    key = np.asarray(rows, dtype=np.intp) * shape[1] + cols
+    order = np.argsort(key)
+    key, vals = key[order], np.asarray(vals)[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    if vals.size:
+        vals = np.add.reduceat(vals, first)
+    nonzero = vals != 0
+    rows, cols = np.divmod(key[first][nonzero], shape[1])
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=shape[0]))]
+    return CSR(vals[nonzero], cols, indptr, tuple(shape))
+
+
+def csr_rows(A) -> np.ndarray:
+    """The row index of each stored entry of the CSR matrix A."""
+    return np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+
+
+def _degree(norm):
+    """scipy's (m*, s) on its 1-norm branch, for ||h A||_1 = ``norm`` up to
+    ``_BOUND_3_13``: the degree and step count of least cost m s with
+    norm / s <= theta_m, the lower degree on a tie."""
+    best_m = best_s = None
+    for m, theta in _THETA.items():
+        s = math.ceil(norm / theta)
+        if best_m is None or m * s < best_m * best_s:
+            best_m, best_s = m, s
+    return best_m, best_s
+
+
+def _taylor_plan(A, t, num):
+    """(A - mu I, mu, m*, s, d) for ``num`` samples over [0, t] of the
+    canonical CSR matrix A: the shift mu = tr(A)/n, the Taylor degree m*,
+    the sub-step count s and the samples d that one series serves.
+
+    The shifted A is canonical too, with scipy's values for A - mu I.  (m*,
+    s) are scipy's choice for one sample step h, from the exact column-sum
+    1-norm of h (A - mu I): ``_degree`` where that norm meets condition
+    (3.13), as at both Fock points of the gated benchmark.  Above it, as on
+    fig4's long steps, scipy's own selection also estimates the 1-norms of
+    powers of h A (``_estimated_degree``).  If s = 1, d is the largest
+    count with d h ||A - mu I||_1 <= theta_55 (at most num - 1 and
+    ``_MAX_SPAN``), and for d > 1 m* is ``_degree`` at d h, whose step count
+    is 1 except for d h ||A||_1 in (theta_1, 2 theta_1], where degree 1 at
+    2 steps ties degree 2 at 1; m* times it is a degree that covers d h in
+    one series, as theta_m / m grows with m.  A norm that is zero or
+    underflows gives m* = 0, s = 1 and d = 1: each sample is the previous
+    one times exp(h mu).
     """
     n = A.shape[0]
-    mu = A.trace() / float(n)
-    A = A - mu * sp.identity(n, format="csr")
-    norm_info = LazyOperatorNormInfo(t * A, A_1_norm=t * abs(A).sum(axis=0).max(), ell=2,
-                                     scale=1.0 / (num - 1))
-    rng_state = np.random.get_state()
-    np.random.seed(0)
-    try:
-        m_star, s = _fragment_3_1(norm_info, 1, _UNIT_ROUNDOFF, ell=2)
-    finally:
-        np.random.set_state(rng_state)
+    rows = csr_rows(A)
+    diagonal = rows == A.indices
+    # scipy's A.trace(): the diagonal summed by numpy
+    mu = np.bincount(rows[diagonal], A.data[diagonal], n).sum() / float(n)
+    every = np.arange(n)
+    A = csr(np.r_[rows, every], np.r_[A.indices, every], np.r_[A.data, np.full(n, -mu)], (n, n))
+    # t ||A - mu I||_1: scipy sums each column over the rows in order
+    a_norm = t * np.bincount(A.indices, np.abs(A.data), n).max()
+    scale = 1.0 / (num - 1)
+    if scale * a_norm <= _BOUND_3_13:
+        m_star, s = _degree(scale * a_norm)
+    else:
+        m_star, s = _estimated_degree(A, t, a_norm, scale)
     if s == 0:  # ||h A||_1 is zero or underflows: exp(h A) is the identity
         return A, mu, 0, 1, 1
     d = 1
     if s == 1:
-        d = int(min(_THETA_55 / norm_info.onenorm() + 1.0, num - 1, _MAX_SPAN))
-        norm_info.set_scale(d / (num - 1))
-        while d > 1 and norm_info.onenorm() > _THETA_55:
+        d = int(min(_THETA[55] / (scale * a_norm) + 1.0, num - 1, _MAX_SPAN))
+        while d > 1 and (d / (num - 1)) * a_norm > _THETA[55]:
             d -= 1
-            norm_info.set_scale(d / (num - 1))
         if d > 1:
-            m_star, steps = _fragment_3_1(norm_info, 1, _UNIT_ROUNDOFF, ell=2)
+            m_star, steps = _degree((d / (num - 1)) * a_norm)
             m_star *= steps
     return A, mu, m_star, s, d
+
+
+def _estimated_degree(A, t, a_norm, scale):
+    """scipy's (m*, s) for the step ``scale`` t of the shifted A where
+    condition (3.13) fails: its selection from estimated 1-norms of powers
+    of t A, drawn from numpy's global RNG seeded with 0."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.linalg._expm_multiply import LazyOperatorNormInfo, _fragment_3_1
+
+    tA = t * csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+    norm_info = LazyOperatorNormInfo(tA, A_1_norm=a_norm, ell=2, scale=scale)
+    rng_state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        return _fragment_3_1(norm_info, 1, _UNIT_ROUNDOFF, ell=2)
+    finally:
+        np.random.set_state(rng_state)
 
 
 def expm_multiply(A, b, t_end, num, cols=slice(None)) -> np.ndarray:

@@ -753,6 +753,53 @@ class TestFigureCommand:
             [[], [], [], ["scipy.optimize", "scipy.special"]])
 
 
+    def test_the_fock_route_loads_scipy_sparse_only_past_condition_3_13(self, tmp_path):
+        # in a fresh interpreter: Fock runs on both couplings and the
+        # closed-form figures load neither scipy.sparse, its linalg nor
+        # scipy.linalg (the propagator loads scipy's CSR kernels on their
+        # own); a Fock run whose sample step is past condition (3.13) loads
+        # them for scipy's norm estimates, and gives the states that it gives
+        # where they were loaded first
+        linear = write_scenario(tmp_path, LINEAR_SCENARIO.replace(
+            "route = analytic", "route = all\ncutoff_a = 4\ncutoff_b = 4").replace(
+            "n_samples = 101", "n_samples = 9"), "linear.txt")
+        nonlinear = write_scenario(tmp_path, NONLINEAR_SCENARIO.replace(
+            "route = cumulant", "route = all\ncutoff_a = 3\ncutoff_b = 4").replace(
+            "n_samples = 101", "n_samples = 9"), "nonlinear.txt")
+        long_step = write_scenario(tmp_path, NONLINEAR_SCENARIO.replace(
+            "route = cumulant", "route = fock\ncutoff_a = 4\ncutoff_b = 6").replace(
+            "t_end = 40.0", "t_end = 400.0").replace("n_samples = 101", "n_samples = 9"),
+            "long.txt")
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "from cvbattery import cli, focksim\n"
+                "names = ('scipy.sparse', 'scipy.sparse.linalg', 'scipy.linalg')\n"
+                "out = sys.argv[4]\n"
+                "loaded = []\n"
+                "for argv in (['run', sys.argv[1], '--out', out + '/linear.csv'],\n"
+                "             ['run', sys.argv[2], '--out', out + '/nonlinear.csv'],\n"
+                "             ['figure', 'fig2', '--out', out],\n"
+                "             ['figure', 'fig3', '--out', out],\n"
+                "             ['run', sys.argv[3], '--out', out + '/long.csv']):\n"
+                "    assert cli.main(argv) == 0\n"
+                "    loaded.append([n for n in names if n in sys.modules])\n"
+                "p = cli.cumulant.NonlinearParams(Omega=0.25, J=1.0, gamma=0.5)\n"
+                "traj = focksim.evolve('nonlinear', p, focksim.FockConfig(4, 6), 400.0, 9)\n"
+                "np.save(out + '/long.npy', traj.sector_states)\n"
+                "print(loaded)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", code, str(linear), str(nonlinear),
+                                 str(long_step), str(tmp_path)],
+                                env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        names = ["scipy.sparse", "scipy.sparse.linalg", "scipy.linalg"]
+        assert result.stdout.splitlines()[-1] == str([[], [], [], [], names])
+        traj = focksim.evolve("nonlinear", cumulant.NonlinearParams(Omega=0.25, J=1.0, gamma=0.5),
+                              focksim.FockConfig(4, 6), 400.0, 9)
+        assert np.array_equal(np.load(tmp_path / "long.npy"), traj.sector_states)
+        assert cli.main(["run", str(long_step), "--out", str(tmp_path / "again.csv")]) == 0
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "long.csv").read_bytes()
+
 class TestConstantsCommand:
     def test_values_and_residuals(self, capsys):
         assert cli.main(["constants"]) == 0

@@ -25,12 +25,9 @@ from cvbattery.focksim import (
     check_density_matrix,
     conserved_charge_drift,
     converge_cutoffs,
-    destroy,
     evolve,
     exact_ergotropy,
-    expectation,
     extract_moments,
-    mode_operators,
     reduced_battery_state,
     vacuum_state,
     _cutoff_ok,
@@ -47,6 +44,114 @@ from cvbattery.linear import LinearParams, energy_linear
 CFG = FockConfig(cutoff_a=6, cutoff_b=6)
 
 
+# The oracles: the mode operators, the Hamiltonian, the folded problem and
+# the moment weights as scipy's sparse matrix arithmetic builds them, which
+# the package's builders, working from the entries, match bit for bit.
+
+def destroy(n: int) -> sp.csr_matrix:
+    """Annihilation operator on an n-level truncated Fock space."""
+    return sp.diags(np.sqrt(np.arange(1, n)), 1, format="csr").astype(complex)
+
+
+def mode_operators(c: FockConfig):
+    """Two-mode annihilation operators (a, b) on the product space."""
+    a = sp.kron(destroy(c.cutoff_a), sp.identity(c.cutoff_b), format="csr")
+    b = sp.kron(sp.identity(c.cutoff_a), destroy(c.cutoff_b), format="csr")
+    return a, b
+
+
+def expectation(rho: np.ndarray, op) -> complex:
+    """Tr(rho O) via a sparse contraction."""
+    return complex((op.multiply(rho.T)).sum())
+
+
+def _sp(A) -> sp.csr_matrix:
+    """The CSR matrix A (the package's ``CSR`` or scipy's) as scipy's."""
+    return sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+
+
+def _scipy_hamiltonian(kind: str, p, c: FockConfig) -> sp.csr_matrix:
+    """linear: g (a'b + b'a) + Omega (a' + a); nonlinear: J (a'bb + b'b'a)
+    + Omega (a' + a), from the sparse mode operators."""
+    a, b = mode_operators(c)
+    ad, bd = a.conj().T, b.conj().T
+    if kind == "linear":
+        coupling = p.g * (ad @ b + bd @ a)
+    else:
+        coupling = p.J * (ad @ b @ b + bd @ bd @ a)
+    return (coupling + p.Omega * (ad + a)).tocsr()
+
+
+def _scipy_folded_problem(kind: str, p, c: FockConfig, v0: np.ndarray):
+    """(M, x0, sector, phase) of ``focksim._folded_problem``, with M built
+    by scipy's sparse products: the Liouvillian of the frame on the kets
+    that the start reaches, L = Y x 1 - 1 x Y^T + (gamma/2)(2 a x a - n_a x
+    1 - 1 x n_a), folded onto the halves S and A by block-diag(L[S rows]
+    E_S, L[A rows] E_A) and restricted to the entries that x0 reaches."""
+    dim = c.cutoff_a * c.cutoff_b
+    H = _scipy_hamiltonian(kind, p, c)
+    a, _ = mode_operators(c)
+    kets = _sector(abs(H) + abs(a), v0.reshape(dim, dim).any(axis=1))
+    H = H[kets][:, kets]
+    rows = np.repeat(np.arange(kets.size), np.diff(H.indptr))
+    H.data *= _frame_phase(kets[H.indices] * dim + kets[rows], c)
+    assert not np.any(H.data.real)
+    Y = H.imag
+    a = a[kets][:, kets].real
+    n_a = a.T @ a
+    eye = sp.identity(kets.size, format="csr")
+    L = sp.kron(Y, eye) - sp.kron(eye, Y.T)
+    L += p.gamma / 2.0 * (2.0 * sp.kron(a, a) - sp.kron(n_a, eye) - sp.kron(eye, n_a))
+    L = L.tocsr()
+    sector = (kets[:, None] * dim + kets).ravel()
+    phase = _frame_phase(sector, c)
+    k, l = np.divmod(sector, dim)
+    mirror = np.searchsorted(sector, l * dim + k)
+    lower = np.flatnonzero(k > l)
+
+    def fold(half, sign):
+        col = np.empty(sector.size, dtype=np.intp)
+        col[half] = np.arange(half.size)
+        E = sp.csr_matrix((np.r_[np.ones(half.size), np.full(lower.size, sign)],
+                           (np.r_[half, lower], np.r_[col[half], col[mirror[lower]]])),
+                          shape=(sector.size, half.size))
+        return L[half] @ E
+
+    sym, antisym = np.flatnonzero(k <= l), np.flatnonzero(k < l)
+    M = sp.block_diag((fold(sym, 1.0), fold(antisym, -1.0)), format="csr")
+    sector = np.r_[sector[sym], sector[antisym]]
+    phase = np.r_[phase[sym], 1j * phase[antisym]]
+    x0 = (phase.conj() * v0[sector]).real
+    keep = _sector(M, x0)
+    return M[keep][:, keep], x0[keep], sector[keep], phase[keep]
+
+
+def _scipy_moment_weights(sector, phase, c: FockConfig) -> sp.csc_matrix:
+    """The (sector.size, 12) transpose of ``focksim._moment_weights``, read
+    from the sparse mode operators at the sector's index pairs."""
+    k, l = np.divmod(sector, c.cutoff_a * c.cutoff_b)
+    a, b = mode_operators(c)
+    parts = []
+    for o, op in enumerate((a, a.conj().T @ a, a @ a, b, b.conj().T @ b, b @ b)):
+        lk = np.asarray(op[l, k]).ravel().real
+        kl = np.where(k != l, np.asarray(op[k, l]).ravel().real, 0.0)
+        w = np.array([phase.real * (lk + kl), phase.imag * (lk - kl)])
+        part, j = np.nonzero(w)
+        parts.append((w[part, j], j, o + 6 * part))
+    data, row, col = map(np.concatenate, zip(*parts))
+    return sp.csc_matrix((data, (row, col)), shape=(sector.size, 12))
+
+
+def _assert_canonical(A):
+    """Sorted column indices within each row, no duplicate and no stored
+    zero."""
+    assert A.indptr[0] == 0 and A.indptr[-1] == A.nnz and np.all(np.diff(A.indptr) >= 0)
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    key = rows * A.shape[1] + A.indices
+    assert np.all(np.diff(key) > 0) and np.all((A.indices >= 0) & (A.indices < A.shape[1]))
+    assert np.all(A.data != 0)
+
+
 def lindblad_rhs(rho: np.ndarray, H, gamma: float, c: FockConfig) -> np.ndarray:
     """i[rho, H] + (gamma/2)(2 a rho a' - a'a rho - rho a'a), on one matrix
     or a stack of them: the master equation written out with dense
@@ -54,7 +159,7 @@ def lindblad_rhs(rho: np.ndarray, H, gamma: float, c: FockConfig) -> np.ndarray:
     dim = c.cutoff_a * c.cutoff_b
     if rho.shape[-2:] != (dim, dim):
         raise InvalidInputError(f"density matrix shape {rho.shape} != ({dim}, {dim})")
-    a, H = mode_operators(c)[0].toarray(), H.toarray()
+    a, H = mode_operators(c)[0].toarray(), _sp(H).toarray()
     ad = a.conj().T
     n_a = ad @ a
     drho = 1j * (rho @ H - H @ rho)
@@ -111,7 +216,7 @@ class TestHamiltonian:
         ],
     )
     def test_hermitian(self, kind, p):
-        H = build_hamiltonian(kind, p, CFG)
+        H = _sp(build_hamiltonian(kind, p, CFG))
         assert abs(H - H.conj().T).max() < 1e-14
 
     def test_unknown_kind(self):
@@ -123,7 +228,7 @@ class TestHamiltonian:
         # and raises a: <1'... check <n_a=1,n_b=0| b'b'a |0, ...> instead:
         # b'b'a |1,0> = sqrt(1)*sqrt(1)*sqrt(2) |0,2>
         p = NonlinearParams(Omega=0.0, J=0.7, gamma=0.0)
-        H = build_hamiltonian("nonlinear", p, CFG).toarray()
+        H = _sp(build_hamiltonian("nonlinear", p, CFG)).toarray()
         row = 0 * 6 + 2  # <0,2|
         col = 1 * 6 + 0  # |1,0>
         assert H[row, col] == pytest.approx(0.7 * math.sqrt(2.0))
@@ -155,7 +260,7 @@ class TestLindblad:
         k, l = np.divmod(sector, 36)
         assert np.max(np.abs(_unfold(x0[None], k, l, phase, 36)[0] - rho)) < 1e-15
         direct = lindblad_rhs(rho, H, p.gamma, CFG)
-        via_super = _unfold((M @ x0)[None], k, l, phase, 36)[0]
+        via_super = _unfold((_sp(M) @ x0)[None], k, l, phase, 36)[0]
         assert np.max(np.abs(direct - via_super)) < 1e-12
 
     def test_rhs_shape_validated(self):
@@ -293,7 +398,7 @@ class TestEvolve:
             M, x0, sector, phase = folded(*args)
             k, l = np.divmod(sector, CFG.cutoff_a * CFG.cutoff_b)
             j = np.flatnonzero(np.abs(k // CFG.cutoff_b - l // CFG.cutoff_b) > 2)[0]
-            M = M.tocoo()
+            M = _sp(M).tocoo()
             cut = (M.col != j) | (M.row == j)
             M = sp.csr_matrix((M.data[cut], (M.row[cut], M.col[cut])), shape=M.shape)
             x0 = x0.copy()
@@ -582,13 +687,74 @@ def test_conserved_charge_start_stays_in_its_sector(handed_to_propagator):
     assert [rows for rows, _ in handed_to_propagator] == [3]
 
 
+def _assert_built_as_scipy_builds(kind, p, c, rho0):
+    """The Hamiltonian, the folded problem and the moment weights equal the
+    scipy-built oracles to the bit, and each matrix is canonical."""
+    H = build_hamiltonian(kind, p, c)
+    ref = _scipy_hamiltonian(kind, p, c).sorted_indices()
+    _assert_canonical(H)
+    assert not np.any(ref.data.imag)
+    for got, want in zip(H[:3], (ref.data.real, ref.indices, ref.indptr)):
+        assert np.array_equal(got, want)
+    problem = _folded_problem(kind, p, c, rho0.reshape(-1))
+    M, ref = problem[0], _scipy_folded_problem(kind, p, c, rho0.reshape(-1))
+    _assert_canonical(M)
+    assert M.data.dtype == np.float64
+    for got, want in zip((*M[:3], *problem[1:]), (ref[0].data, ref[0].indices, ref[0].indptr,
+                                                   *ref[1:])):
+        assert np.array_equal(got, want)
+    W = _moment_weights(*problem[2:], c)
+    ref = _scipy_moment_weights(*problem[2:], c)  # its CSC arrays are those of W's CSR
+    _assert_canonical(W)
+    for got, want in zip(W[:3], (ref.data, ref.indices, ref.indptr)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind,p,cfg,start", [
+    ("nonlinear", NonlinearParams(Omega=0.25, J=1.0, gamma=0.5), FockConfig(8, 12), (0, 0)),
+    ("linear", LinearParams(Omega=0.1, g=0.5, gamma=1.0), FockConfig(6, 6), (0, 0)),
+    ("nonlinear", NonlinearParams(Omega=0.0, J=1.0, gamma=0.0), FockConfig(4, 6), (1, 0)),
+    ("nonlinear", NonlinearParams(Omega=0.562, J=1.0, gamma=0.5), FockConfig(8, 24), (0, 0)),
+], ids=["traj-nonlinear", "linear-6-6", "conserved-charge-start", "fig4-8-24"])
+def test_operators_are_scipys_at_the_oracle_points(kind, p, cfg, start):
+    _assert_built_as_scipy_builds(kind, p, cfg, _fock_state(cfg, *start))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from(["linear", "nonlinear"]),
+    st.one_of(st.just(0.0), st.floats(0.0, 2.0, allow_subnormal=False)),  # Omega
+    st.floats(0.05, 2.0),  # g or J
+    # gamma = 0 leaves zeros in scipy's dissipator, which its sums drop
+    st.one_of(st.just(0.0), st.floats(0.0, 2.0, allow_subnormal=False)),
+    st.integers(2, 6),  # cutoff_a
+    st.integers(2, 6),  # cutoff_b
+    st.sampled_from(["vacuum", "fock", "real", "complex"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_operators_are_scipys(kind, Omega, coupling, gamma, ca, cb, start, seed):
+    c = FockConfig(cutoff_a=ca, cutoff_b=cb)
+    if kind == "linear":
+        p = LinearParams(Omega=Omega, g=coupling, gamma=gamma)
+    else:
+        p = NonlinearParams(Omega=Omega, J=coupling, gamma=gamma)
+    dim = ca * cb
+    rho0 = {
+        "vacuum": lambda: vacuum_state(c),
+        "fock": lambda: _fock_state(c, seed % ca, seed % cb),
+        "real": lambda: np.diag(np.random.default_rng(seed).dirichlet(np.ones(dim))),
+        "complex": lambda: _random_density_matrix(dim, seed),
+    }[start]()
+    _assert_built_as_scipy_builds(kind, p, c, rho0)
+
+
 @pytest.fixture
 def propagator_dtypes(monkeypatch):
     """(matrix dtype, vector dtype) of every expm_multiply call of evolve."""
     seen = []
 
     def recording(L, v, *args):
-        seen.append((L.dtype, v.dtype))
+        seen.append((L.data.dtype, v.dtype))
         return propagate.expm_multiply(L, v, *args)
 
     monkeypatch.setattr(focksim, "expm_multiply", recording)
@@ -625,12 +791,12 @@ def test_folded_operator_matches_rhs(kind, Omega, coupling, gamma, ca, cb, start
         "complex": lambda: _random_density_matrix(dim, seed),
     }[start]()
     M, x0, sector, phase = _folded_problem(kind, p, c, rho0.reshape(-1))
-    assert M.dtype == np.float64 and x0.dtype == np.float64
+    assert M.data.dtype == np.float64 and x0.dtype == np.float64
     assert set(np.unique(phase)) <= {1, 1j, -1, -1j}
     k, l = np.divmod(sector, dim)
     x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(1, x0.size))
     rho = _unfold(x, k, l, phase, dim)[0]
-    drho = _unfold((M @ x[0])[None], k, l, phase, dim)[0]
+    drho = _unfold((_sp(M) @ x[0])[None], k, l, phase, dim)[0]
     H = build_hamiltonian(kind, p, c)
     assert np.max(np.abs(drho - lindblad_rhs(rho, H, gamma, c))) < 1e-12
 
@@ -659,7 +825,7 @@ def test_liouvillian_is_real_in_the_frame(kind, Omega, coupling, gamma, ca, cb, 
     dim = ca * cb
     rho0 = vacuum_state(c) if start == "vacuum" else _random_density_matrix(dim, 5)
     M, x0, sector, phase = _folded_problem(kind, p, c, rho0.reshape(-1))
-    assert M.dtype == np.float64 and x0.dtype == np.float64
+    assert M.data.dtype == np.float64 and x0.dtype == np.float64
     assert set(np.unique(phase)) <= {1, 1j, -1, -1j}
     plain = _full_liouvillian(kind, p, c)
     full_phase = _frame_phase(np.arange(dim * dim), c)
@@ -793,7 +959,7 @@ def test_liouvillian_not_real_in_the_frame_is_refused(monkeypatch):
 
     def detuned(kind, p, c):
         _, b = mode_operators(c)
-        return plain(kind, p, c) + 0.3 * (b.conj().T @ b)
+        return _sp(plain(kind, p, c)) + 0.3 * (b.conj().T @ b)
 
     monkeypatch.setattr(focksim, "build_hamiltonian", detuned)
     with pytest.raises(InvalidInputError, match="not real"):
@@ -803,8 +969,8 @@ def test_liouvillian_not_real_in_the_frame_is_refused(monkeypatch):
 
 def _sector_problem(kind, p, c, rho0):
     """(A, x0): the real folded Liouvillian and the start vector that evolve
-    hands to the propagator."""
-    A, x0, _, _ = _folded_problem(kind, p, c, rho0.reshape(-1))
+    hands to the propagator, from the scipy-built oracle."""
+    A, x0, _, _ = _scipy_folded_problem(kind, p, c, rho0.reshape(-1))
     return A, x0
 
 
@@ -872,6 +1038,32 @@ def _taylor_degrees(A, b, t_end, num):
     return X, m_star, degrees
 
 
+def _scipy_taylor_plan(A, t, num):
+    """(A - mu I, mu, m*, s, d) of ``propagate._taylor_plan``, with the shift
+    and the 1-norm of scipy's sparse arithmetic and every (m*, s) from
+    scipy's own selection: at one sample step h, and at d h where one
+    series serves d > 1 samples."""
+    n = A.shape[0]
+    mu = A.trace() / float(n)
+    A = A - mu * sp.identity(n, format="csr")
+    norm_info = em.LazyOperatorNormInfo(t * A, A_1_norm=t * abs(A).sum(axis=0).max(), ell=2,
+                                        scale=1.0 / (num - 1))
+    m_star, s = _seeded(em._fragment_3_1, norm_info, 1, 2.0**-53, ell=2)
+    if s == 0:
+        return A, mu, 0, 1, 1
+    d = 1
+    if s == 1:
+        d = int(min(em._theta[55] / norm_info.onenorm() + 1.0, num - 1, propagate._MAX_SPAN))
+        norm_info.set_scale(d / (num - 1))
+        while d > 1 and norm_info.onenorm() > em._theta[55]:
+            d -= 1
+            norm_info.set_scale(d / (num - 1))
+        if d > 1:
+            m_star, steps = em._fragment_3_1(norm_info, 1, 2.0**-53, ell=2)
+            m_star *= steps
+    return A, mu, m_star, s, d
+
+
 def _span(A, t_end, num):
     """d: the samples that one Taylor series of ``expm_multiply`` serves."""
     return propagate._taylor_plan(A, t_end, num)[-1]
@@ -920,6 +1112,7 @@ def _grouped_series(A, b, t_end, num):
     F_i = sum_j i^j T_j summed in order, and sample k + i is
     F_i exp(i h mu).  The last group takes the samples left over."""
     A, mu, m_star, s, d = propagate._taylor_plan(A, t_end, num)
+    A = _sp(A)
     h = t_end / (num - 1)
     step = h * np.max(np.abs(A).sum(axis=0))
     assert s == 1 and 1 < d <= min(num - 1, propagate._MAX_SPAN)
@@ -1007,6 +1200,19 @@ class TestPropagator:
                       initial_state=_fock_state(cfg, *rho0))
         _, _, sector, _ = _folded_problem("nonlinear", p, cfg,
                                           _fock_state(cfg, *rho0).reshape(-1))
+        assert np.array_equal(traj.sector_states, out[:, _read_columns(sector, cfg)])
+
+    def test_a_step_past_condition_3_13_is_scipys_per_sample_branch(self):
+        # h ||A - mu I||_1 = 1347 > 63.36: the plan takes scipy's selection
+        # from estimated norms, and evolve's states are scipy's to the bit
+        p, cfg = NonlinearParams(Omega=0.25, J=1.0, gamma=0.5), FockConfig(4, 6)
+        A, r0 = _sector_problem("nonlinear", p, cfg, vacuum_state(cfg))
+        shifted = _scipy_taylor_plan(A, 400.0, 9)[0]
+        assert 50.0 * abs(shifted).sum(axis=0).max() > propagate._BOUND_3_13
+        out, d = _assert_propagates(A, r0, 400.0, 9)
+        assert d == 1
+        traj = evolve("nonlinear", p, cfg, 400.0, n_samples=9)
+        _, _, sector, _ = _folded_problem("nonlinear", p, cfg, vacuum_state(cfg).reshape(-1))
         assert np.array_equal(traj.sector_states, out[:, _read_columns(sector, cfg)])
 
     # No subnormal rates: scipy's expm_multiply divides by a step count of 0
@@ -1142,8 +1348,59 @@ class TestPropagator:
         A = sp.diags([5.47e-18, -5.47e-18], format="csr")
         assert propagate._taylor_plan(A, 64.0, 65)[2:] == (2, 1, 64)
 
-    def test_theta_55_is_scipys(self):
-        assert propagate._THETA_55 == em._theta[55]
+    def test_theta_table_is_scipys(self):
+        assert propagate._THETA == em._theta
+        assert list(propagate._THETA) == list(em._theta)  # the tie-break follows the order
+
+    def test_degree_selection_is_scipys(self):
+        # scipy's 1-norm branch on a log grid of norms and at every boundary
+        # theta_m k where the step count of degree m changes (k up to 64),
+        # each with its neighbouring floats, up to condition (3.13)
+        bound = propagate._BOUND_3_13
+        norms = [0.0, *np.logspace(-20.0, math.log10(bound), 400)]
+        for theta in em._theta.values():
+            for k in range(1, 65):
+                norms += [np.nextafter(theta * k, 0.0), theta * k, np.nextafter(theta * k, np.inf)]
+        norms += [np.nextafter(bound, 0.0), bound]
+        for norm in (x for x in norms if x <= bound):
+            info = em.LazyOperatorNormInfo(None, A_1_norm=norm, ell=2)
+            assert propagate._degree(norm) == em._fragment_3_1(info, 1, 2.0**-53, ell=2), norm
+
+    def test_condition_3_13_bound_is_scipys(self):
+        bound = propagate._BOUND_3_13
+        assert bound == pytest.approx(63.36)
+        for norm in (np.nextafter(bound, 0.0), bound, np.nextafter(bound, np.inf)):
+            assert (norm <= bound) == em._condition_3_13(norm, 1, 55, 2)
+
+    def test_plan_is_scipys(self):
+        # the shift, the degree, the step count and the span, against the
+        # plan made with scipy's own selection throughout: on draws that take
+        # each branch (one series per sample or per group, a re-selected
+        # degree at d > 1, norms past condition (3.13)), and at fig4's long
+        # steps and the benchmark point
+        cases = [(A, t_end, num) for A, _, t_end, _ in
+                 (_random_generator(seed, 1 + seed % 8, seed % 10 == 9) for seed in range(30))
+                 for num in (2, 9, 257)]
+        cases += [(A, t_end, num) for A, _, t_end, num in
+                  (_grouped_draw(seed, 1 + seed % 8) for seed in range(30))]
+        cases.append((sp.diags([5.47e-18, -5.47e-18], format="csr"), 64.0, 65))
+        for p, cfg, t_end in [(NonlinearParams(Omega=0.562, J=1.0, gamma=0.5),
+                               FockConfig(8, 24), 240.0),
+                              (NonlinearParams(Omega=0.25, J=1.0, gamma=0.5),
+                               FockConfig(8, 12), 40.0)]:
+            cases.append((_sector_problem("nonlinear", p, cfg, vacuum_state(cfg))[0], t_end, 257))
+        seen = set()
+        for A, t_end, num in cases:
+            got, want = propagate._taylor_plan(A, t_end, num), _scipy_taylor_plan(A, t_end, num)
+            assert got[1:] == want[1:], (got[1:], want[1:])
+            _assert_canonical(got[0])
+            for x, y in zip(got[0][:3], (want[0].data, want[0].indices, want[0].indptr)):
+                assert np.array_equal(x, y)
+            h_norm = t_end / (num - 1) * np.max(np.abs(_sp(got[0])).sum(axis=0))
+            seen.update(name for name, hit in [
+                ("d > 1", got[4] > 1), ("s > 1", got[3] > 1), ("m* = 0", got[2] == 0),
+                ("past (3.13)", h_norm > propagate._BOUND_3_13)] if hit)
+        assert seen == {"d > 1", "s > 1", "m* = 0", "past (3.13)"}
 
     def test_benchmark_and_figure_points_take_the_per_sample_loop(self):
         # one series per sample at fig4's 18 points, the sweep-nonlinear

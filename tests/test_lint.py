@@ -1,9 +1,9 @@
 """Static checks on the package source: no unused import, no private
 module-level name that nothing references, no import from scipy's private
-modules (by an import statement or by name) beyond those the Fock propagator
-and the cumulant route's LSODA need, no caller of that propagator but
-``focksim``, and every per-layer time and call count that the benchmark names
-still traced."""
+modules (by an import statement or by name) but exactly those the Fock
+propagator and the cumulant route's LSODA need, no caller of that propagator
+but ``focksim``, and every per-layer time and call count that the benchmark
+names still traced."""
 
 import ast
 import json
@@ -65,14 +65,14 @@ def test_every_private_name_is_referenced():
     assert unused == []
 
 
-# The imports from scipy's private modules: the propagator takes its degree
-# and step count from scipy and runs its products on scipy's CSR kernel, and
-# tests/test_focksim.py pins the result bit for bit to scipy's per-sample
-# branch.  The cumulant route loads LSODA's extension by its name, without
-# importing scipy.integrate, and tests/test_cumulant.py pins its states bit
-# for bit to the public odeint.
+# The imports from scipy's private modules and the strings that name one:
+# the propagator runs its products on scipy's CSR kernels, loaded from their
+# file, and imports scipy's degree and step selection where condition (3.13)
+# fails; tests/test_focksim.py pins its selection and its results bit for bit
+# to scipy's.  The cumulant route loads LSODA's extension from its file, and
+# tests/test_cumulant.py pins its states bit for bit to the public odeint.
 ALLOWED_PRIVATE_SCIPY = {
-    ("propagate.py", "scipy.sparse._sparsetools", "csr_matvec"),
+    ("propagate.py", "scipy.sparse._sparsetools", None),
     ("propagate.py", "scipy.sparse.linalg._expm_multiply", "LazyOperatorNormInfo"),
     ("propagate.py", "scipy.sparse.linalg._expm_multiply", "_fragment_3_1"),
     ("cumulant.py", "scipy.integrate._odepack", None),
@@ -105,8 +105,10 @@ def _private_scipy_imports(path):
 
 
 def test_no_private_scipy_import_but_the_propagators():
+    # exactly the allowed set: a name that leaves the package leaves the list
     found = [imp for path in MODULES for imp in _private_scipy_imports(path)]
     assert [imp for imp in found if imp not in ALLOWED_PRIVATE_SCIPY] == []
+    assert set(found) == ALLOWED_PRIVATE_SCIPY
 
 
 def test_private_scipy_import_check_sees_both_forms(tmp_path):
