@@ -8,11 +8,11 @@ Subcommands:
 This module holds the run path; ``figure`` and ``constants`` import
 ``cvbattery.figures`` when they run, so a ``run`` never loads it.
 
-All computations are deterministic: the only random draws (the norm
-estimator inside the Fock propagator) use a fixed seed and leave numpy's
-global RNG state untouched.  Exit codes: 0 success, 2 config error or an
-output that cannot be written, 3 non-convergence; a run that fails writes no
-CSV, to stdout or ``--out``.
+All computations are deterministic: no command makes a random draw, and
+numpy's global RNG state is left untouched, so a scenario gives the same CSV
+bytes on every run.  Exit codes: 0 success, 2 config error or an output
+that cannot be written, 3 non-convergence; a run that fails writes no CSV,
+to stdout or ``--out``.
 """
 
 import argparse

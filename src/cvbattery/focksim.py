@@ -418,7 +418,7 @@ def evolve(
     from a sample gives every later sample within scipy's error bound for
     one series, and a sample step too long for one series takes several;
     the result is accurate to machine precision with no tolerance to set,
-    and numpy's global RNG is left as it was.  The state is propagated as
+    and it makes no random draws of any kind.  The state is propagated as
     R = V'rho V with V = diag(i^n_a), on the kets that the start reaches
     under H and a, where the Liouvillian is a real matrix (module
     docstring), and only through the half of R that fixes the rest: the

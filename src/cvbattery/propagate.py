@@ -12,10 +12,11 @@ loaded from their file (``scipyext``), so the Fock route never imports
 scipy.sparse.
 
 A is shifted by mu = tr(A)/n, and the Taylor degree m* and the step count s
-for one sample step h are scipy's choice: from the exact 1-norm of h A where
-that norm meets the paper's condition (3.13), by scipy's table and cost
-loop written out here, and otherwise by scipy's own selection from
-estimated norms of powers of h A (``_taylor_plan``).  Where one step needs
+for one sample step h come from the cost loop of the paper's code fragment
+(3.1) on scipy's table: on the exact 1-norm of h A where that norm meets
+the paper's condition (3.13), as scipy chooses, and otherwise on upper
+bounds on the 1-norms of powers of h A from exact column sums of their
+magnitudes, with no random draw (``_taylor_plan``).  Where one step needs
 s >= 2 sub-steps, each sample is the previous one advanced by s Taylor
 series in hA/s: scipy's per-sample branch, bit for bit.  Where it needs one,
 a single series from sample k serves the d samples that it spans, the
@@ -98,16 +99,32 @@ def csr_rows(A) -> np.ndarray:
     return np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
 
 
-def _degree(norm):
-    """scipy's (m*, s) on its 1-norm branch, for ||h A||_1 = ``norm`` up to
-    ``_BOUND_3_13``: the degree and step count of least cost m s with
-    norm / s <= theta_m, the lower degree on a tie."""
+def _degree(alpha):
+    """(m*, s) of least cost m s, the lower degree on a tie, with s =
+    ceil(alpha_p / theta_m) for the least alpha_p that degree m may use,
+    p (p - 1) - 1 <= m: the cost loop of Al-Mohy & Higham's fragment (3.1).
+    ``alpha`` maps p to a bound on alpha_p = max(d_p, d_{p+1}), d_p =
+    ||(h A)^p||_1^(1/p); {1: ||h A||_1} gives scipy's 1-norm branch."""
     best_m = best_s = None
     for m, theta in _THETA.items():
-        s = math.ceil(norm / theta)
+        s = math.ceil(min(a for p, a in alpha.items() if p * (p - 1) - 1 <= m) / theta)
         if best_m is None or m * s < best_m * best_s:
             best_m, best_s = m, s
     return best_m, best_s
+
+
+def _power_bounds(A, h_norm):
+    """Upper bounds on d_1 ... d_9 for the CSR matrix A with ||h A||_1 =
+    ``h_norm``: |A^p| <= |A|^p entrywise, so ||A^p||_1 is at most the
+    largest entry of 1'|A|^p, here in units of ||A||_1^p, so no entry
+    overflows: nine products with |A| / ||A||_1 from a vector of ones."""
+    n = A.shape[0]
+    rows, v, bounds = csr_rows(A), np.ones(n), []
+    weights = np.abs(A.data) / np.bincount(A.indices, np.abs(A.data), n).max()
+    for p in range(1, 10):
+        v = np.bincount(A.indices, v[rows] * weights, n)
+        bounds.append(h_norm * v.max() ** (1.0 / p))
+    return bounds
 
 
 def _taylor_plan(A, t, num):
@@ -116,16 +133,16 @@ def _taylor_plan(A, t, num):
     the sub-step count s and the samples d that one series serves.
 
     The shifted A is canonical too, with scipy's values for A - mu I.  (m*,
-    s) are scipy's choice for one sample step h, from the exact column-sum
-    1-norm of h (A - mu I): ``_degree`` where that norm meets condition
-    (3.13), as at both Fock points of the gated benchmark.  Above it, as on
-    fig4's long steps, scipy's own selection also estimates the 1-norms of
-    powers of h A (``_estimated_degree``).  If s = 1, d is the largest
-    count with d h ||A - mu I||_1 <= theta_55 (at most num - 1 and
-    ``_MAX_SPAN``), and for d > 1 m* is ``_degree`` at d h, whose step count
-    is 1 except for d h ||A||_1 in (theta_1, 2 theta_1], where degree 1 at
-    2 steps ties degree 2 at 1; m* times it is a degree that covers d h in
-    one series, as theta_m / m grows with m.  A norm that is zero or
+    s) for one sample step h are ``_degree`` on the exact column-sum 1-norm
+    of h (A - mu I) where it meets condition (3.13), scipy's choice, as at
+    both Fock points of the gated benchmark, and above it, as on fig4's long
+    steps, on ``_power_bounds``: a bound on alpha_p keeps the paper's bound
+    on the backward error, and can only raise the cost m* s.  If s = 1, d is
+    the largest count with d h ||A - mu I||_1 <= theta_55 (at most num - 1
+    and ``_MAX_SPAN``), and for d > 1 m* is ``_degree`` at d h, whose step
+    count is 1 except for d h ||A||_1 in (theta_1, 2 theta_1], where degree
+    1 at 2 steps ties degree 2 at 1; m* times it is a degree that covers d h
+    in one series, as theta_m / m grows with m.  A norm that is zero or
     underflows gives m* = 0, s = 1 and d = 1: each sample is the previous
     one times exp(h mu).
     """
@@ -140,9 +157,11 @@ def _taylor_plan(A, t, num):
     a_norm = t * np.bincount(A.indices, np.abs(A.data), n).max()
     scale = 1.0 / (num - 1)
     if scale * a_norm <= _BOUND_3_13:
-        m_star, s = _degree(scale * a_norm)
+        m_star, s = _degree({1: scale * a_norm})
     else:
-        m_star, s = _estimated_degree(A, t, a_norm, scale)
+        bounds = _power_bounds(A, scale * a_norm)
+        m_star, s = _degree({p: max(bounds[p - 1], bounds[p]) for p in range(2, 9)})
+        s = max(s, 1)  # all bounds 0: A^2 = 0, and degree 1 is exact
     if s == 0:  # ||h A||_1 is zero or underflows: exp(h A) is the identity
         return A, mu, 0, 1, 1
     d = 1
@@ -151,26 +170,9 @@ def _taylor_plan(A, t, num):
         while d > 1 and (d / (num - 1)) * a_norm > _THETA[55]:
             d -= 1
         if d > 1:
-            m_star, steps = _degree((d / (num - 1)) * a_norm)
+            m_star, steps = _degree({1: (d / (num - 1)) * a_norm})
             m_star *= steps
     return A, mu, m_star, s, d
-
-
-def _estimated_degree(A, t, a_norm, scale):
-    """scipy's (m*, s) for the step ``scale`` t of the shifted A where
-    condition (3.13) fails: its selection from estimated 1-norms of powers
-    of t A, drawn from numpy's global RNG seeded with 0."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.linalg._expm_multiply import LazyOperatorNormInfo, _fragment_3_1
-
-    tA = t * csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
-    norm_info = LazyOperatorNormInfo(tA, A_1_norm=a_norm, ell=2, scale=scale)
-    rng_state = np.random.get_state()
-    np.random.seed(0)
-    try:
-        return _fragment_3_1(norm_info, 1, _UNIT_ROUNDOFF, ell=2)
-    finally:
-        np.random.set_state(rng_state)
 
 
 def expm_multiply(A, b, t_end, num, cols=slice(None)) -> np.ndarray:
@@ -209,10 +211,9 @@ def expm_multiply(A, b, t_end, num, cols=slice(None)) -> np.ndarray:
     multiplied by exp(i h mu / s).  At d = 1 that is the one sample,
     advanced by s such series, each scaled by exp(h mu / s): scipy's
     per-sample branch, with scipy's arithmetic operation for operation, so
-    the result is the same to the bit wherever scipy takes that branch.  At
-    d > 1, s = 1, and the last group takes the samples left over.  The
-    result does not depend on the caller's RNG state or the BLAS thread
-    count, and the RNG state is left as it was.
+    the result is the same to the bit wherever scipy takes that branch with
+    the same (m*, s).  At d > 1, s = 1, and the last group takes the samples
+    left over.  The result does not depend on the BLAS thread count.
 
     Only the rows of the series being computed are held, (d + 1) x n beside
     the block: the sample that it starts from and the d samples that it

@@ -753,13 +753,13 @@ class TestFigureCommand:
             [[], [], [], ["scipy.optimize", "scipy.special"]])
 
 
-    def test_the_fock_route_loads_scipy_sparse_only_past_condition_3_13(self, tmp_path):
-        # in a fresh interpreter: Fock runs on both couplings and the
-        # closed-form figures load neither scipy.sparse, its linalg nor
+    def test_no_command_loads_scipy_sparse_or_scipy_linalg(self, tmp_path):
+        # in a fresh interpreter: Fock runs on both couplings, the
+        # closed-form figures and a Fock run whose sample step is past
+        # condition (3.13) load neither scipy.sparse, its linalg nor
         # scipy.linalg (the propagator loads scipy's CSR kernels on their
-        # own); a Fock run whose sample step is past condition (3.13) loads
-        # them for scipy's norm estimates, and gives the states that it gives
-        # where they were loaded first
+        # own and bounds the norms of powers itself), and the long run gives
+        # the states that it gives where they were loaded first
         linear = write_scenario(tmp_path, LINEAR_SCENARIO.replace(
             "route = analytic", "route = all\ncutoff_a = 4\ncutoff_b = 4").replace(
             "n_samples = 101", "n_samples = 9"), "linear.txt")
@@ -792,8 +792,7 @@ class TestFigureCommand:
                                  str(long_step), str(tmp_path)],
                                 env=env, capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
-        names = ["scipy.sparse", "scipy.sparse.linalg", "scipy.linalg"]
-        assert result.stdout.splitlines()[-1] == str([[], [], [], [], names])
+        assert result.stdout.splitlines()[-1] == str([[], [], [], [], []])
         traj = focksim.evolve("nonlinear", cumulant.NonlinearParams(Omega=0.25, J=1.0, gamma=0.5),
                               focksim.FockConfig(4, 6), 400.0, 9)
         assert np.array_equal(np.load(tmp_path / "long.npy"), traj.sector_states)

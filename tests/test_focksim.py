@@ -3,8 +3,10 @@
 import math
 import re
 import warnings
+from fractions import Fraction
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -975,9 +977,9 @@ def _sector_problem(kind, p, c, rho0):
 
 
 def _seeded(fn, *args, **kwargs):
-    """fn(*args, **kwargs) with numpy's global RNG seeded as
-    ``focksim.expm_multiply`` seeds it, so the norm estimates pick the same
-    degree and step count."""
+    """fn(*args, **kwargs) with numpy's global RNG seeded with 0, so that
+    scipy's norm estimates past condition (3.13) pick the same degree and
+    step count on every run."""
     state = np.random.get_state()
     np.random.seed(0)
     try:
@@ -993,25 +995,31 @@ def _scipy(A, b, t_end, num):
 
 def _scipy_per_sample_branch(A, b, t_end, num, wrap=lambda A: A):
     """scipy's expm_multiply on its per-sample branch, which scipy takes by
-    itself only when the sample count is at most its step count.  The
-    Taylor loop takes its products from ``wrap`` of the shifted A."""
+    itself only when the sample count is at most its step count, with the
+    degree and step count of a plan whose series serve one sample each
+    (``propagate._taylor_plan``, scipy's own where condition (3.13) holds:
+    ``test_plan_is_scipys``).  The Taylor loop takes its products from
+    ``wrap`` of the shifted A."""
+    plan = propagate._taylor_plan(A, t_end, num)[2:4]
     mu = A.trace() / float(A.shape[0])
     A = A - mu * em._ident_like(A)
     X = np.empty((num, b.size), dtype=np.result_type(A.dtype, b.dtype, float))
     X[0] = b
     norm_info = em.LazyOperatorNormInfo(t_end * A, A_1_norm=t_end * em._exact_1_norm(A),
                                         ell=2)
-    X, _ = em._expm_multiply_interval_core_0(wrap(A), X, t_end / (num - 1), mu, num - 1,
-                                             norm_info, 2.0**-53, 2, 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(em, "_fragment_3_1", lambda *args, **kwargs: plan)
+        X, _ = em._expm_multiply_interval_core_0(wrap(A), X, t_end / (num - 1), mu, num - 1,
+                                                 norm_info, 2.0**-53, 2, 1)
     return X
 
 
 def _taylor_degrees(A, b, t_end, num):
-    """(X, m*, degrees): ``_scipy_per_sample_branch`` (seeded), its Taylor
-    degree m* and the degree at which each of its sub-steps stopped, read
-    off the order of its products ("d") and infinity norms ("n"): a sub-step
-    takes one norm, then one product and two norms per term."""
-    log, fragments = [], []
+    """(X, m*, degrees): ``_scipy_per_sample_branch``, its Taylor degree m*
+    and the degree at which each of its sub-steps stopped, read off the
+    order of its products ("d") and infinity norms ("n"): a sub-step takes
+    one norm, then one product and two norms per term."""
+    log = []
 
     class Logged:
         def __init__(self, M):
@@ -1025,24 +1033,19 @@ def _taylor_degrees(A, b, t_end, num):
         log.append("n")
         return inner(x)
 
-    def fragment(*args, inner=em._fragment_3_1, **kw):
-        fragments.append(inner(*args, **kw))
-        return fragments[-1]
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(em, "_exact_inf_norm", norm)
-        mp.setattr(em, "_fragment_3_1", fragment)
-        X = _seeded(_scipy_per_sample_branch, A, b, t_end, num, wrap=Logged)
-    m_star = fragments[0][0] if fragments else 0  # scipy skips it for a zero norm
+        X = _scipy_per_sample_branch(A, b, t_end, num, wrap=Logged)
+    m_star = propagate._taylor_plan(A, t_end, num)[2]
     degrees = [len(terms) // 3 for terms in re.findall(r"n((?:dnn)*)", "".join(log))]
     return X, m_star, degrees
 
 
 def _scipy_taylor_plan(A, t, num):
-    """(A - mu I, mu, m*, s, d) of ``propagate._taylor_plan``, with the shift
-    and the 1-norm of scipy's sparse arithmetic and every (m*, s) from
-    scipy's own selection: at one sample step h, and at d h where one
-    series serves d > 1 samples."""
+    """(A - mu I, mu, m*, s, d) of ``propagate._taylor_plan`` where
+    condition (3.13) holds, with the shift and the 1-norm of scipy's sparse
+    arithmetic and every (m*, s) from scipy's own selection: at one sample
+    step h, and at d h where one series serves d > 1 samples."""
     n = A.shape[0]
     mu = A.trace() / float(n)
     A = A - mu * sp.identity(n, format="csr")
@@ -1081,24 +1084,77 @@ def _dense_expm(A, b, times):
     return np.array([np.exp(t * alpha) * (expm(t * shifted) @ b) for t in times])
 
 
+def _mpmath_reference(A, b, t_end, num):
+    """exp(t A) b at the samples k h, h = t_end / (num - 1), to 50 digits:
+    mpmath's expm of h A applied k times to b, from the float64 entries as
+    they are, rounded to float64 at the end."""
+    with mpmath.workdps(50):
+        E = mpmath.expm(mpmath.matrix(A.toarray().tolist()) * mpmath.mpf(t_end / (num - 1)))
+        x = mpmath.matrix(b.tolist())
+        X = [x]
+        for _ in range(num - 1):
+            X.append(E * X[-1])
+        return np.array([[float(v) for v in x] for x in X])
+
+
+def _grouped_error_bound(A, t_end, num, ref):
+    """The bound on max|out_k - x(t_k)| at each sample k where each series
+    serves d > 1 samples, from the error analysis of one series and the
+    exact propagation of its error to later samples.
+
+    A series from sample k, with the degree m* and S = A - mu I, has the
+    terms T_j = (h/j) S T_{j-1}: each product is an inner product of at
+    most r stored entries of a row, so (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sections 3.1 and 3.5) |T_j| carries a
+    relative error of at most j (r + 2) u, counting the rounded diagonal of
+    S and the scale; the weights i^j and the ordered sum of at most m* + 1
+    weighted terms add (m* + 1) u, and the phase exp(i h mu) a relative
+    2 u + 3 i h |mu| u from its rounded argument.  All are relative to
+    sum_j |i^j T_j| <= e^{i h |S|} |x_k| entrywise; one more u each covers
+    the truncation that the stopping test allows (two terms below
+    u ||F||_inf) and the rounding of the reference.  So sample k + i is off
+    by at most (m* (r + 3) + 5 + 3 i h |mu|) u e^{i h mu} ||e^{i h |S|} |x_k|||_inf,
+    to first order in u, plus the error at sample k carried by
+    ||e^{i h A}||_inf.  The exponentials only scale the bound, so they are
+    taken in float64."""
+    _, mu, m_star, s, d = propagate._taylor_plan(A, t_end, num)
+    assert s == 1 and d > 1
+    n, h = A.shape[0], t_end / (num - 1)
+    S = A.toarray() - mu * np.eye(n)
+    r = np.max(np.count_nonzero(S, axis=1))
+    carry = [np.linalg.matrix_power(expm(h * A.toarray()), i) for i in range(1, d + 1)]
+    grow = [np.linalg.matrix_power(expm(h * np.abs(S)), i) for i in range(1, d + 1)]
+    bound = np.zeros(num)
+    for k in range(0, num - 1, d):
+        for i in range(1, min(d, num - 1 - k) + 1):
+            local = (m_star * (r + 3) + 5 + 3 * i * h * abs(mu)) * 2.0**-53 * math.exp(i * h * mu)
+            bound[k + i] = (np.linalg.norm(carry[i - 1], np.inf) * bound[k]
+                            + local * np.max(grow[i - 1] @ np.abs(ref[k])))
+    return bound
+
+
 def _assert_propagates(A, b, t_end, num, oracle=_scipy_per_sample_branch):
     """(out, d): ``expm_multiply`` of A and b and the samples d that one of
-    its series serves.  Where d = 1, out is ``oracle`` to the bit; where
-    d > 1, out is within 1e-12 of max|x| of scipy's public expm_multiply
-    (the bound that holds for scipy's own term-sharing branch) and of a
-    dense expm, taken at every sample of a matrix of up to 16 rows and
-    otherwise at samples 1, d, d + 1 and the last."""
+    its series serves.  Where d = 1, out is ``oracle`` to the bit.  Where
+    d > 1, out is within ``_grouped_error_bound`` of the 50-digit
+    ``_mpmath_reference`` at every sample of a matrix of up to 16 rows;
+    a larger one, a Fock sector, is within 1e-12 of max|x| of scipy's
+    public expm_multiply and of a dense expm at samples 1, d, d + 1 and the
+    last."""
     out = focksim.expm_multiply(A, b, t_end, num)
     d = _span(A, t_end, num)
     if d == 1:
-        assert np.array_equal(out, _seeded(oracle, A, b, t_end, num))
-        return out, d
-    tol = 1e-12 * np.max(np.abs(out))
-    assert np.max(np.abs(out - _seeded(_scipy, A, b, t_end, num))) <= tol
-    at = (np.arange(num) if A.shape[0] <= 16
-          else np.unique([1, d, min(d + 1, num - 1), num - 1]))
-    times = np.linspace(0.0, t_end, num)[at]
-    assert np.max(np.abs(out[at] - _dense_expm(A, b, times))) <= tol
+        assert np.array_equal(out, oracle(A, b, t_end, num))
+    elif A.shape[0] <= 16:
+        ref = _mpmath_reference(A, b, t_end, num)
+        assert np.all(np.max(np.abs(out - ref), axis=1)
+                      <= _grouped_error_bound(A, t_end, num, ref))
+    else:
+        tol = 1e-12 * np.max(np.abs(out))
+        assert np.max(np.abs(out - _seeded(_scipy, A, b, t_end, num))) <= tol
+        at = np.unique([1, d, min(d + 1, num - 1), num - 1])
+        times = np.linspace(0.0, t_end, num)[at]
+        assert np.max(np.abs(out[at] - _dense_expm(A, b, times))) <= tol
     return out, d
 
 
@@ -1203,8 +1259,9 @@ class TestPropagator:
         assert np.array_equal(traj.sector_states, out[:, _read_columns(sector, cfg)])
 
     def test_a_step_past_condition_3_13_is_scipys_per_sample_branch(self):
-        # h ||A - mu I||_1 = 1347 > 63.36: the plan takes scipy's selection
-        # from estimated norms, and evolve's states are scipy's to the bit
+        # h ||A - mu I||_1 = 1347 > 63.36: the plan takes its degree and step
+        # count from bounds on the norms of powers of h A, and evolve's
+        # states are scipy's per-sample branch, given that plan, to the bit
         p, cfg = NonlinearParams(Omega=0.25, J=1.0, gamma=0.5), FockConfig(4, 6)
         A, r0 = _sector_problem("nonlinear", p, cfg, vacuum_state(cfg))
         shifted = _scipy_taylor_plan(A, 400.0, 9)[0]
@@ -1364,7 +1421,8 @@ class TestPropagator:
         norms += [np.nextafter(bound, 0.0), bound]
         for norm in (x for x in norms if x <= bound):
             info = em.LazyOperatorNormInfo(None, A_1_norm=norm, ell=2)
-            assert propagate._degree(norm) == em._fragment_3_1(info, 1, 2.0**-53, ell=2), norm
+            assert (propagate._degree({1: norm})
+                    == em._fragment_3_1(info, 1, 2.0**-53, ell=2)), norm
 
     def test_condition_3_13_bound_is_scipys(self):
         bound = propagate._BOUND_3_13
@@ -1373,11 +1431,12 @@ class TestPropagator:
             assert (norm <= bound) == em._condition_3_13(norm, 1, 55, 2)
 
     def test_plan_is_scipys(self):
-        # the shift, the degree, the step count and the span, against the
-        # plan made with scipy's own selection throughout: on draws that take
-        # each branch (one series per sample or per group, a re-selected
-        # degree at d > 1, norms past condition (3.13)), and at fig4's long
-        # steps and the benchmark point
+        # the shift, and wherever condition (3.13) holds the degree, the step
+        # count and the span, against the plan made with scipy's own
+        # selection: on draws that take each branch (one series per sample or
+        # per group, a re-selected degree at d > 1) and at the benchmark
+        # point; past (3.13), as at fig4's long steps, the degree and step
+        # count come from bounds (test_power_bounds_past_condition_3_13)
         cases = [(A, t_end, num) for A, _, t_end, _ in
                  (_random_generator(seed, 1 + seed % 8, seed % 10 == 9) for seed in range(30))
                  for num in (2, 9, 257)]
@@ -1392,15 +1451,55 @@ class TestPropagator:
         seen = set()
         for A, t_end, num in cases:
             got, want = propagate._taylor_plan(A, t_end, num), _scipy_taylor_plan(A, t_end, num)
-            assert got[1:] == want[1:], (got[1:], want[1:])
             _assert_canonical(got[0])
             for x, y in zip(got[0][:3], (want[0].data, want[0].indices, want[0].indptr)):
                 assert np.array_equal(x, y)
+            assert got[1] == want[1]
             h_norm = t_end / (num - 1) * np.max(np.abs(_sp(got[0])).sum(axis=0))
+            if h_norm <= propagate._BOUND_3_13:
+                assert got[2:] == want[2:], (got[2:], want[2:])
             seen.update(name for name, hit in [
                 ("d > 1", got[4] > 1), ("s > 1", got[3] > 1), ("m* = 0", got[2] == 0),
                 ("past (3.13)", h_norm > propagate._BOUND_3_13)] if hit)
         assert seen == {"d > 1", "s > 1", "m* = 0", "past (3.13)"}
+
+    # past (3.13): h ||A||_1 from 63.36 to 100 times that, on generators of
+    # up to 8 rows
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.floats(1.0, 100.0))
+    def test_power_bounds_past_condition_3_13(self, seed, n, ratio):
+        # each bound is at least the exact ||(h A)^p||_1^(1/p), from powers
+        # of the shifted A in exact rational arithmetic, less its rounding of
+        # at most 2 c + 4 units, c the most entries in a column: p (c + 1) in
+        # the p products, which the p-th root divides by p, and c + 2 in the
+        # root, the 1-norm and the scale.  So the plan meets the paper's
+        # condition alpha_p / s <= theta_m* on the exact norms and costs no
+        # less than fragment (3.1) on them.  Its step count can be lower than
+        # that choice's: a larger alpha_7 can move the least cost from
+        # degree 45 to 55
+        A, _, _, _ = _random_generator(seed, n, False)
+        norm = np.max(np.abs(_sp(propagate._taylor_plan(A, 1.0, 2)[0])).sum(axis=0))
+        assume(norm > 0.0)
+        t = ratio * propagate._BOUND_3_13 / norm
+        shifted, _, m_star, s, _ = propagate._taylor_plan(A, t, 2)
+        assume(t * norm > propagate._BOUND_3_13)
+        bounds = propagate._power_bounds(shifted, t * norm)
+        S = [[Fraction(t) * Fraction(float(x)) for x in row] for row in _sp(shifted).toarray()]
+        slack = Fraction(1 - (2 * np.bincount(shifted.indices).max() + 4) * 2.0**-53)
+        power, exact = S, []
+        for p in range(1, 10):
+            if p > 1:
+                power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*S)]
+                         for row in power]
+            norm_p = max(sum(abs(row[j]) for row in power) for j in range(n))
+            assert (Fraction(bounds[p - 1]) / slack) ** p >= norm_p, p
+            exact.append(float(norm_p) ** (1.0 / p))
+        alpha = {p: max(exact[p - 1], exact[p]) for p in range(2, 9)}
+        assert any(alpha[p] <= s * propagate._THETA[m_star]
+                   for p in alpha if p * (p - 1) - 1 <= m_star)
+        info = SimpleNamespace(onenorm=lambda: t * norm, alpha=alpha.get)
+        best_m, best_s = em._fragment_3_1(info, 1, 2.0**-53, ell=2)
+        assert m_star * s >= best_m * best_s
 
     def test_benchmark_and_figure_points_take_the_per_sample_loop(self):
         # one series per sample at fig4's 18 points, the sweep-nonlinear
@@ -1423,6 +1522,14 @@ class TestPropagator:
         out = focksim.expm_multiply(sp.csr_matrix((3, 3)), b, 5.0, 4)
         assert np.array_equal(out, np.tile(b, (4, 1)))
 
+    def test_nilpotent_step_past_condition_3_13(self):
+        # ||h A||_1 = 100 but A^2 = 0, so every bound on alpha_p is 0: one
+        # series of degree 1, exp(h A) b = b + h A b, not the identity
+        A = sp.csr_matrix(np.array([[0.0, 100.0], [0.0, 0.0]]))
+        b = np.array([0.5, 0.25])
+        assert propagate._taylor_plan(A, 1.0, 2)[2:] == (1, 1, 1)
+        assert np.array_equal(focksim.expm_multiply(A, b, 1.0, 2), [b, [25.5, 0.25]])
+
     def test_underflowing_norm_gives_constant_rows(self):
         # nonlinear coupling does nothing at cutoff_b = 2, so the drive of
         # 5e-324 is all of L; scipy's step count rounds to 0 there (and
@@ -1437,8 +1544,9 @@ class TestPropagator:
         assert np.array_equal(out, np.tile(r0, (3, 1)))
 
     def test_global_rng_left_as_it_was(self):
-        # at this point scipy's norm estimates draw from the global RNG, as
-        # scipy's own expm_multiply shows by advancing it
+        # past condition (3.13) at this point, scipy's own expm_multiply
+        # estimates norms from draws of the global RNG and so advances it;
+        # the propagator bounds them without a draw
         cfg = FockConfig(8, 12)
         p = NonlinearParams(Omega=0.25, J=1.0, gamma=2.0)
         A, r0 = _sector_problem("nonlinear", p, cfg, vacuum_state(cfg))

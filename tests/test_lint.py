@@ -67,14 +67,12 @@ def test_every_private_name_is_referenced():
 
 # The imports from scipy's private modules and the strings that name one:
 # the propagator runs its products on scipy's CSR kernels, loaded from their
-# file, and imports scipy's degree and step selection where condition (3.13)
-# fails; tests/test_focksim.py pins its selection and its results bit for bit
-# to scipy's.  The cumulant route loads LSODA's extension from its file, and
-# tests/test_cumulant.py pins its states bit for bit to the public odeint.
+# file; tests/test_focksim.py pins its degree selection where condition
+# (3.13) holds and its Taylor loop bit for bit to scipy's.  The cumulant
+# route loads LSODA's extension from its file, and tests/test_cumulant.py
+# pins its states bit for bit to the public odeint.
 ALLOWED_PRIVATE_SCIPY = {
     ("propagate.py", "scipy.sparse._sparsetools", None),
-    ("propagate.py", "scipy.sparse.linalg._expm_multiply", "LazyOperatorNormInfo"),
-    ("propagate.py", "scipy.sparse.linalg._expm_multiply", "_fragment_3_1"),
     ("cumulant.py", "scipy.integrate._odepack", None),
 }
 
